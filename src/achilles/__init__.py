@@ -12,7 +12,6 @@ from .attacks import (
     AttackConfig,
     AttackResult,
     attack,
-    boosted_attack_campaign,
     export_seed_list,
     fgsm_step,
     run_attack_campaign,
@@ -25,7 +24,6 @@ from .harness import (
     ReportFormatError,
     RunRecord,
     audit_report,
-    repeat_campaign,
     report_digest,
     report_read,
     report_write,
@@ -36,8 +34,10 @@ from .nn import (
     Network,
     NetworkFormatError,
     OutputProfile,
+    ball_region,
     classify,
     classify_batch,
+    format_float,
     format_network,
     forward,
     forward_batch,
@@ -50,6 +50,7 @@ from .nn import (
     perturbation_region,
     random_network,
     save_network,
+    top_gap,
 )
 from .seeding import (
     SeedSearchExhausted,
@@ -63,7 +64,6 @@ from .seeding import (
     select_lowest_margin,
 )
 from .verifier import (
-    Box,
     ExternalQuery,
     GridOutcome,
     GridResult,

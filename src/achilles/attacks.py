@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import Network, classify, gradient
+from .nn import Network, classify, format_float, gradient
 from .seeding import (
     SeedSearchExhausted,
     SeedingConfig,
@@ -28,7 +28,6 @@ __all__ = [
     "AttackConfig",
     "AttackResult",
     "attack",
-    "boosted_attack_campaign",
     "export_seed_list",
     "fgsm_step",
     "run_attack_campaign",
@@ -138,21 +137,9 @@ def run_attack_campaign(
     )
 
 
-def boosted_attack_campaign(
-    net: Network,
-    n_inputs: int,
-    config: AttackConfig,
-    selection: str,
-    rng,
-    seeding: SeedingConfig | None = None,
-) -> float:
-    """Success rate of the attack over ``n_inputs`` selected inputs."""
-    return run_attack_campaign(net, n_inputs, config, selection, rng, seeding).rate
-
-
 def export_seed_list(points) -> str:
     """One line per starting point, space-separated coordinates."""
     rows = []
     for point in points:
-        rows.append(" ".join(format(float(v), ".17g") for v in np.asarray(point).ravel()))
+        rows.append(" ".join(format_float(v) for v in np.asarray(point).ravel()))
     return "\n".join(rows) + ("\n" if rows else "")

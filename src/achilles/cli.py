@@ -20,7 +20,7 @@ import numpy as np
 
 from .attacks import AttackConfig, export_seed_list, run_attack_campaign
 from .harness import CampaignSpec, Mode, ReportFormatError, report_write, run_campaign
-from .nn import NetworkFormatError, load_network, random_network, save_network
+from .nn import NetworkFormatError, format_float, load_network, random_network, save_network
 from .seeding import SeedingConfig
 from .verifier import GridOutcome, QueryFormatError, VerificationQuery, grid_oracle
 
@@ -93,7 +93,6 @@ def _cmd_verify(args) -> int:
             sample_set_size=args.sample_set_size,
             col_num=args.col_num,
             threshold_strategy=args.strategy,
-            rng_seed=args.seed,
         ),
     )
     out = Path(args.out)
@@ -181,7 +180,7 @@ def _cmd_oracle(args) -> int:
     spacing = args.spacing if args.spacing is not None else args.delta / 50.0
     result = grid_oracle(net, query, spacing)
     if result.outcome is GridOutcome.SAT:
-        coords = " ".join(format(v, ".17g") for v in result.witness)
+        coords = " ".join(format_float(v) for v in result.witness)
         print(f"sat {coords}")
     else:
         print(result.outcome.value)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import Network, classify, forward_batch, perturbation_region
+from .nn import Network, ball_region, classify, forward_batch, perturbation_region, top_gap
 
 __all__ = ["GreedyConfig", "SearchOutcome", "gen_neighbors", "greedy_search"]
 
@@ -74,16 +74,8 @@ def gen_neighbors(x, step: float, x0, delta: float, lower, upper) -> list[np.nda
     if step <= 0:
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=np.float64)
-    lo, hi = _combined_region(np.asarray(x0, dtype=np.float64), delta, lower, upper)
+    lo, hi = ball_region(x0, delta, lower, upper)
     return _axis_moves(x, step, lo, hi)
-
-
-def _combined_region(x0, delta, lower, upper):
-    from .nn import _ball_lower, _ball_upper
-
-    lo = np.maximum(_ball_lower(x0, delta), np.asarray(lower, dtype=np.float64))
-    hi = np.minimum(_ball_upper(x0, delta), np.asarray(upper, dtype=np.float64))
-    return lo, hi
 
 
 def greedy_search(net: Network, x0, delta: float, config: GreedyConfig | None = None) -> SearchOutcome:
@@ -101,8 +93,7 @@ def greedy_search(net: Network, x0, delta: float, config: GreedyConfig | None = 
     lo, hi = perturbation_region(net, x0, delta)
 
     x = x0.copy()
-    values = forward_batch(net, x[np.newaxis, :])[0]
-    current = _margin_of(values)
+    current = float(top_gap(forward_batch(net, x[np.newaxis, :]))[0])
     step = cfg.l_max / 2.0
     iterations = 0
     trace: list[tuple[float, float]] | None = [] if cfg.record_trace else None
@@ -110,28 +101,23 @@ def greedy_search(net: Network, x0, delta: float, config: GreedyConfig | None = 
     while step >= cfg.l_min and iterations < cfg.max_iterations:
         iterations += 1
         candidates = _axis_moves(x, step, lo, hi)
-        best = None
-        best_margin = current
+        moved = False
         if candidates:
             batch = forward_batch(net, np.stack(candidates))
-            labels = np.argmax(batch, axis=1)
-            for i, cand in enumerate(candidates):
-                if labels[i] != label0:
-                    return SearchOutcome(
-                        counter_example=cand,
-                        iterations=iterations,
-                        final_margin=_margin_of(batch[i]),
-                        trace=tuple(trace) if trace is not None else None,
-                    )
-                m = _margin_of(batch[i])
-                if m < best_margin:
-                    best, best_margin = i, m
-        if best is not None:
-            x = candidates[best]
-            current = best_margin
-            moved = True
-        else:
-            moved = False
+            gaps = top_gap(batch)
+            # The first flip in scan order wins; otherwise the first
+            # smallest margin, if strictly below the current one.
+            flips = np.flatnonzero(np.argmax(batch, axis=1) != label0)
+            if flips.size:
+                return SearchOutcome(
+                    counter_example=candidates[flips[0]],
+                    iterations=iterations,
+                    final_margin=float(gaps[flips[0]]),
+                    trace=tuple(trace) if trace is not None else None,
+                )
+            best = int(np.argmin(gaps))
+            if gaps[best] < current:
+                x, current, moved = candidates[best], float(gaps[best]), True
         if trace is not None:
             trace.append((step, current))
         if not moved:
@@ -153,10 +139,3 @@ def _axis_moves(x, step, lo, hi):
             if cand[i] != x[i]:
                 out.append(cand)
     return out
-
-
-def _margin_of(values: np.ndarray) -> float:
-    if values.size == 1:
-        return math.inf
-    part = np.partition(values, -2)
-    return float(part[-1] - part[-2])

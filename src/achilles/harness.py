@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -86,14 +87,16 @@ class CampaignSpec:
             raise ValueError(
                 "set exactly one stop condition: time_budget or target_counterexamples"
             )
-        if self.time_budget is not None and self.time_budget < 0:
-            raise ValueError("time_budget must be non-negative")
+        if self.time_budget is not None and not (
+            math.isfinite(self.time_budget) and self.time_budget >= 0
+        ):
+            raise ValueError("time_budget must be non-negative and finite")
         if self.target_counterexamples is not None and self.target_counterexamples < 0:
             raise ValueError("target_counterexamples must be non-negative")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
-        if self.per_query_timeout <= 0:
-            raise ValueError("per_query_timeout must be positive")
+        if not (math.isfinite(self.per_query_timeout) and self.per_query_timeout > 0):
+            raise ValueError("per_query_timeout must be positive and finite")
 
 
 @dataclass
@@ -435,14 +438,3 @@ def report_digest(report: CampaignReport) -> str:
     }
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
-
-
-def repeat_campaign(spec: CampaignSpec, repeats: int) -> list[CampaignReport]:
-    """Run ``repeats`` campaigns with consecutive derived seeds."""
-    if repeats < 1:
-        raise ValueError("repeats must be positive")
-    reports = []
-    net = load_network(spec.net_path)
-    for i in range(repeats):
-        reports.append(run_campaign(replace(spec, rng_seed=spec.rng_seed + i), net=net))
-    return reports

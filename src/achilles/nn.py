@@ -22,8 +22,10 @@ __all__ = [
     "Network",
     "NetworkFormatError",
     "OutputProfile",
+    "ball_region",
     "classify",
     "classify_batch",
+    "format_float",
     "format_network",
     "forward",
     "forward_batch",
@@ -36,10 +38,8 @@ __all__ = [
     "perturbation_region",
     "random_network",
     "save_network",
+    "top_gap",
 ]
-
-# 17 significant digits round-trip any float64 exactly.
-_FLOAT_FMT = ".17g"
 
 FILE_HEADER = "relunet v1"
 
@@ -199,15 +199,23 @@ def forward_batch(net: Network, xs) -> np.ndarray:
     return a
 
 
+def top_gap(values: np.ndarray) -> np.ndarray:
+    """Top value minus runner-up of one output row or of each row of a batch.
+
+    A single-output net can never change label, so its gap is ``inf``.
+    """
+    if values.shape[-1] == 1:
+        return np.full(values.shape[:-1], math.inf)
+    # Indexing the transpose serves a row and a batch alike, and costs
+    # less than ``[..., k]`` on the per-sample path of ``margin``.
+    part = np.partition(values, -2).T
+    return part[-1] - part[-2]
+
+
 def _profile(values: np.ndarray) -> OutputProfile:
-    top = int(np.argmax(values))
-    if values.size == 1:
-        # A single-category classifier can never change label.
-        gap = math.inf
-    else:
-        part = np.partition(values, -2)
-        gap = float(part[-1] - part[-2])
-    return OutputProfile(values=values, top_label=top, margin=gap)
+    return OutputProfile(
+        values=values, top_label=int(np.argmax(values)), margin=float(top_gap(values))
+    )
 
 
 def forward(net: Network, x) -> OutputProfile:
@@ -228,11 +236,7 @@ def classify(net: Network, x) -> int:
 
 
 def margin_batch(net: Network, xs) -> np.ndarray:
-    values = forward_batch(net, xs)
-    if net.output_size == 1:
-        return np.full(values.shape[0], math.inf)
-    part = np.partition(values, -2, axis=1)
-    return part[:, -1] - part[:, -2]
+    return top_gap(forward_batch(net, xs))
 
 
 def classify_batch(net: Network, xs) -> np.ndarray:
@@ -278,24 +282,29 @@ def lipschitz_bound(net: Network) -> float:
     return bound
 
 
-def _ball_lower(center: np.ndarray, radius: float) -> np.ndarray:
+def ball_region(center, radius: float, lower, upper) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds of the L-inf ball around ``center`` clipped to ``[lower, upper]``.
+
+    Every point inside the returned bounds is within ``radius`` of the
+    center in floating-point arithmetic.  The bounds cross (some lower
+    entry exceeds its upper) when the ball misses the box.
+    """
+    center = np.asarray(center, dtype=np.float64)
     lo = center - radius
-    # Rounding may push the bound further than radius from the center;
+    hi = center + radius
+    # Rounding may push a bound further than radius from the center;
     # pull it back so distance checks on points at the bound never fail.
     over = (center - lo) > radius
     while over.any():
         lo = np.where(over, np.nextafter(lo, np.inf), lo)
         over = (center - lo) > radius
-    return lo
-
-
-def _ball_upper(center: np.ndarray, radius: float) -> np.ndarray:
-    hi = center + radius
     over = (hi - center) > radius
     while over.any():
         hi = np.where(over, np.nextafter(hi, -np.inf), hi)
         over = (hi - center) > radius
-    return hi
+    lo = np.maximum(lo, np.asarray(lower, dtype=np.float64))
+    hi = np.minimum(hi, np.asarray(upper, dtype=np.float64))
+    return lo, hi
 
 
 def perturbation_region(net: Network, center, radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -308,8 +317,7 @@ def perturbation_region(net: Network, center, radius: float) -> tuple[np.ndarray
     center = _as_input(net, center)
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    lo = np.maximum(_ball_lower(center, radius), net.input_lower)
-    hi = np.minimum(_ball_upper(center, radius), net.input_upper)
+    lo, hi = ball_region(center, radius, net.input_lower, net.input_upper)
     if (lo > hi).any():
         raise ValueError("perturbation ball does not intersect the input box")
     return lo, hi
@@ -359,18 +367,32 @@ def random_network(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), _FLOAT_FMT)
+def format_float(x: float) -> str:
+    """Text form of a float that parses back to the same float64.
+
+    17 significant digits round-trip any float64 exactly.
+    """
+    return format(float(x), ".17g")
 
 
 def format_network(net: Network) -> str:
+    """The canonical text form of ``net``.
+
+    The format has no labels line, so a labelled net is refused rather
+    than saved without its labels.
+    """
+    if net.labels is not None:
+        raise ValueError(
+            f"relunet v1 cannot store output labels {list(net.labels)}; "
+            "drop the labels before saving"
+        )
     lines = [FILE_HEADER]
     lines.append(" ".join(str(s) for s in net.layer_sizes))
-    lines.append(" ".join(_fmt(v) for v in net.input_lower))
-    lines.append(" ".join(_fmt(v) for v in net.input_upper))
+    lines.append(" ".join(format_float(v) for v in net.input_lower))
+    lines.append(" ".join(format_float(v) for v in net.input_upper))
     for w, b in zip(net.weights, net.biases):
         for row, bias in zip(w, b):
-            lines.append(" ".join(_fmt(v) for v in row) + " " + _fmt(bias))
+            lines.append(" ".join(format_float(v) for v in row) + " " + format_float(bias))
     return "\n".join(lines) + "\n"
 
 

@@ -52,7 +52,6 @@ class SeedingConfig:
     sample_set_size: int = DEFAULT_SAMPLE_SET_SIZE
     col_num: int = DEFAULT_COL_NUM
     threshold_strategy: str = "minimum"
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.sample_set_size < 1:
@@ -78,7 +77,6 @@ class ThresholdState:
     threshold: float
     col_num: int = DEFAULT_COL_NUM
     collisions: int = 0
-    rng_seed: int = 0
     escalations: int = 0
     samples_drawn: int = 0
 
@@ -126,7 +124,7 @@ def make_threshold_state(net: Network, rng: np.random.Generator, config: Seeding
     value = compute_threshold(net, samples, cfg.threshold_strategy)
     if value <= 0.0:
         value = float(margin_batch(net, samples).min())
-    return ThresholdState(threshold=value, col_num=cfg.col_num, rng_seed=cfg.rng_seed)
+    return ThresholdState(threshold=value, col_num=cfg.col_num)
 
 
 def generate_seed(

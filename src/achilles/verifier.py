@@ -23,6 +23,7 @@ from .nn import (
     Network,
     classify,
     classify_batch,
+    format_float,
     forward_batch,
     lipschitz_bound,
     perturbation_region,
@@ -30,7 +31,6 @@ from .nn import (
 
 __all__ = [
     "BUDGET",
-    "Box",
     "ExternalQuery",
     "GridOutcome",
     "GridResult",
@@ -95,7 +95,7 @@ class VerificationQuery:
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=np.float64))
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise ValueError("delta must be positive and finite")
-        if self.time_budget <= 0:
+        if not self.time_budget > 0:
             raise ValueError("time_budget must be positive")
         if self.min_box_width is not None and self.min_box_width <= 0:
             raise ValueError("min_box_width must be positive")
@@ -133,30 +133,6 @@ class Verdict:
         return self.kind is VerdictKind.UNSAT
 
 
-@dataclass(frozen=True, eq=False)
-class Box:
-    """Axis-aligned subregion of a query."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lower", np.asarray(self.lower, dtype=np.float64))
-        object.__setattr__(self, "upper", np.asarray(self.upper, dtype=np.float64))
-        if self.lower.shape != self.upper.shape:
-            raise ValueError("box bounds must have matching shapes")
-        if (self.lower > self.upper).any():
-            raise ValueError("box lower bound exceeds upper bound")
-
-    @property
-    def widths(self) -> np.ndarray:
-        return self.upper - self.lower
-
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
-
-
 def _split_layers(net: Network):
     layers = []
     last = len(net.weights) - 1
@@ -177,17 +153,23 @@ def _propagate(layers, lo, hi):
     return lo, hi
 
 
-def interval_bounds(net: Network, box: Box) -> tuple[np.ndarray, np.ndarray]:
-    """Sound per-output enclosure over a box.
+def interval_bounds(net: Network, lower, upper) -> tuple[np.ndarray, np.ndarray]:
+    """Sound per-output enclosure over the box ``[lower, upper]``.
 
     Affine layers split weights by sign; hidden intervals clamp at zero.
     For every x in the box and every output j, lo[j] <= out_j(x) <= hi[j].
     """
-    if box.lower.shape != (net.input_size,):
+    lower = np.asarray(lower, dtype=np.float64)
+    upper = np.asarray(upper, dtype=np.float64)
+    if lower.shape != upper.shape:
+        raise ValueError("box bounds must have matching shapes")
+    if lower.shape != (net.input_size,):
         raise ValueError(
-            f"box has {box.lower.shape[0]} dimensions, network expects {net.input_size}"
+            f"box bounds have shape {lower.shape}, network expects {net.input_size} dimensions"
         )
-    return _propagate(_split_layers(net), box.lower, box.upper)
+    if (lower > upper).any():
+        raise ValueError("box lower bound exceeds upper bound")
+    return _propagate(_split_layers(net), lower, upper)
 
 
 def _certification_gap(lo, hi, label0) -> float:
@@ -231,7 +213,7 @@ def _probe(net, lo, hi, label0, rng):
     return None
 
 
-def verify_local_robustness(net: Network, query: VerificationQuery, *, corner_seed: int = 0) -> Verdict:
+def verify_local_robustness(net: Network, query: VerificationQuery) -> Verdict:
     """Decide a local-robustness query by input-domain branch and bound.
 
     Boxes whose interval bounds prove the label fixed are certified and
@@ -255,7 +237,7 @@ def verify_local_robustness(net: Network, query: VerificationQuery, *, corner_se
     lo, hi = perturbation_region(net, query.x0, query.delta)
     min_width = query.resolved_min_box_width
     layers = _split_layers(net)
-    rng = np.random.default_rng(corner_seed)
+    rng = np.random.default_rng(0)  # fixed corner sample: verdicts are reproducible
 
     def finish(kind, witness=None, reason=None):
         return Verdict(
@@ -418,17 +400,13 @@ class ExternalQuery:
         )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def export_query(query: VerificationQuery, net_path: str) -> str:
     """Serialize a query for an external complete verifier."""
     lines = [
         QUERY_HEADER,
         f"net {net_path}",
-        "x0 " + " ".join(_fmt(v) for v in query.x0),
-        f"delta {_fmt(query.delta)}",
+        "x0 " + " ".join(format_float(v) for v in query.x0),
+        f"delta {format_float(query.delta)}",
         f"label {int(query.label0)}",
     ]
     return "\n".join(lines) + "\n"
@@ -460,7 +438,7 @@ def import_query(text: str) -> ExternalQuery:
 
 def export_witness(point) -> str:
     point = np.asarray(point, dtype=np.float64)
-    return WITNESS_HEADER + "\nx " + " ".join(_fmt(v) for v in point) + "\n"
+    return WITNESS_HEADER + "\nx " + " ".join(format_float(v) for v in point) + "\n"
 
 
 def import_witness(text: str) -> np.ndarray:

@@ -5,11 +5,20 @@ re-implementation of the forward pass over exact rationals; it must stay
 independent of the package's numpy path.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from achilles import Network, forward_batch, lipschitz_bound
+from achilles import (
+    GreedyConfig,
+    Network,
+    SearchOutcome,
+    classify,
+    forward_batch,
+    gen_neighbors,
+    lipschitz_bound,
+)
 
 
 def rational_forward(weights, biases, x):
@@ -145,4 +154,61 @@ def dominate_class(net, target_margin):
         biases=tuple(biases),
         input_lower=net.input_lower,
         input_upper=net.input_upper,
+    )
+
+
+def _row_margin(values):
+    if values.size == 1:
+        return math.inf
+    part = np.partition(values, -2)
+    return float(part[-1] - part[-2])
+
+
+def reference_greedy_search(net, x0, delta, config=None):
+    """Per-candidate loop version of ``greedy_search``.
+
+    Scores the candidates of each round one row at a time: the first
+    label flip in scan order returns at once, otherwise the candidate with
+    the smallest margin (first on ties) is taken when strictly below the
+    current margin.
+    """
+    cfg = config or GreedyConfig.for_radius(delta)
+    x0 = np.asarray(x0, dtype=np.float64)
+    label0 = classify(net, x0)
+    x = x0.copy()
+    current = _row_margin(forward_batch(net, x[np.newaxis, :])[0])
+    step = cfg.l_max / 2.0
+    iterations = 0
+    trace = [] if cfg.record_trace else None
+    while step >= cfg.l_min and iterations < cfg.max_iterations:
+        iterations += 1
+        candidates = gen_neighbors(x, step, x0, delta, net.input_lower, net.input_upper)
+        best = None
+        best_margin = current
+        if candidates:
+            batch = forward_batch(net, np.stack(candidates))
+            labels = np.argmax(batch, axis=1)
+            for i, cand in enumerate(candidates):
+                if labels[i] != label0:
+                    return SearchOutcome(
+                        counter_example=cand,
+                        iterations=iterations,
+                        final_margin=_row_margin(batch[i]),
+                        trace=tuple(trace) if trace is not None else None,
+                    )
+                m = _row_margin(batch[i])
+                if m < best_margin:
+                    best, best_margin = i, m
+        if best is not None:
+            x = candidates[best]
+            current = best_margin
+        if trace is not None:
+            trace.append((step, current))
+        if best is None:
+            step /= 2.0
+    return SearchOutcome(
+        counter_example=None,
+        iterations=iterations,
+        final_margin=current,
+        trace=tuple(trace) if trace is not None else None,
     )

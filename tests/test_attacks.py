@@ -4,7 +4,6 @@ import pytest
 from achilles import (
     AttackConfig,
     attack,
-    boosted_attack_campaign,
     classify,
     export_seed_list,
     fgsm_step,
@@ -113,10 +112,10 @@ class TestCampaign:
     def test_zero_net_rate_zero_for_both_selections(self):
         net = zero_net()
         for selection in ("r", "b"):
-            rate = boosted_attack_campaign(
+            rate = run_attack_campaign(
                 net, 20, AttackConfig(eps=0.1, epo=2), selection, 0,
                 SeedingConfig(sample_set_size=50, col_num=20),
-            )
+            ).rate
             assert rate == 0.0
 
     def test_flip_net_rate_one_when_budget_covers_box(self):
@@ -125,15 +124,15 @@ class TestCampaign:
         cfg = AttackConfig(eps=0.15, epo=4)
         seeding = SeedingConfig(sample_set_size=100, col_num=50)
         for selection in ("r", "b"):
-            rate = boosted_attack_campaign(net, 50, cfg, selection, 1, seeding)
+            rate = run_attack_campaign(net, 50, cfg, selection, 1, seeding).rate
             assert rate == 1.0
 
     def test_weak_seeds_lift_success_rate(self):
         net = random_network([10, 16, 16, 3], 7000)
         cfg = AttackConfig(eps=0.02, epo=4)
         seeding = SeedingConfig(sample_set_size=500, col_num=300)
-        rate_r = boosted_attack_campaign(net, 200, cfg, "r", 0, seeding)
-        rate_b = boosted_attack_campaign(net, 200, cfg, "b", 0, seeding)
+        rate_r = run_attack_campaign(net, 200, cfg, "r", 0, seeding).rate
+        rate_b = run_attack_campaign(net, 200, cfg, "b", 0, seeding).rate
         assert rate_b > rate_r
 
     def test_reproducible(self):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import achilles
 from achilles import load_network, save_network
 from achilles.cli import main
 from helpers import flip_net
@@ -78,6 +83,23 @@ class TestVerify:
                 ]
             )
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("flag", ["--budget", "--timeout"])
+    def test_nan_time_limit_is_usage_error(self, flag, flip_net_path, tmp_path):
+        # Runs in a child process with a deadline: a NaN budget that slips
+        # through validation makes the campaign loop forever.
+        stop = [] if flag == "--budget" else ["--find", "1"]
+        env = dict(os.environ, PYTHONPATH=str(Path(achilles.__file__).parents[1]))
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "achilles.cli", "verify", "--net", flip_net_path,
+                "--mode", "r", "--delta", "0.1", flag, "nan", *stop,
+                "--out", str(tmp_path / "r"),
+            ],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert done.returncode == 1
+        assert "must be" in done.stderr
 
     def test_missing_net_file_is_data_error(self, tmp_path, capsys):
         code = main(

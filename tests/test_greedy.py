@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from achilles import (
     GreedyConfig,
@@ -18,6 +19,7 @@ from helpers import (
     constant_margin_net,
     dominate_class,
     flip_net,
+    reference_greedy_search,
     zero_net,
 )
 
@@ -147,6 +149,33 @@ class TestGreedySearch:
         net = flip_net()
         out = greedy_search(net, [0.4], 0.2)
         assert out.final_margin == margin(net, out.counter_example)
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        inputs=st.integers(1, 10),
+        hidden=st.integers(1, 12),
+        outputs=st.integers(1, 4),
+        net_seed=st.integers(0, 2**32 - 1),
+        point_seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.5, 4.0),
+        delta=st.floats(0.005, 0.5),
+    )
+    def test_same_outcome_as_per_candidate_loop(
+        self, inputs, hidden, outputs, net_seed, point_seed, scale, delta
+    ):
+        net = random_network([inputs, hidden, outputs], net_seed, weight_scale=scale)
+        x0 = np.random.default_rng(point_seed).uniform(0, 1, size=inputs)
+        cfg = GreedyConfig.for_radius(delta, record_trace=True)
+        got = greedy_search(net, x0, delta, cfg)
+        want = reference_greedy_search(net, x0, delta, cfg)
+        assert got.found == want.found
+        if want.found:
+            assert np.array_equal(got.counter_example, want.counter_example)
+        assert got.iterations == want.iterations
+        assert got.final_margin == want.final_margin
+        assert got.trace == want.trace
 
 
 class TestGreedyConfig:

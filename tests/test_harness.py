@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -64,6 +65,16 @@ class TestCampaignSpec:
     def test_mode_coercion(self):
         spec = CampaignSpec(net_path="x", mode="rg", delta=0.1, time_budget=1.0)
         assert spec.mode is Mode.RG
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_time_limits_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="time_budget"):
+            CampaignSpec(net_path="x", mode=Mode.R, delta=0.1, time_budget=value)
+        with pytest.raises(ValueError, match="per_query_timeout"):
+            CampaignSpec(
+                net_path="x", mode=Mode.R, delta=0.1, target_counterexamples=1,
+                per_query_timeout=value,
+            )
 
     def test_delta_positive(self):
         with pytest.raises(ValueError, match="delta"):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from achilles import (
     NetworkFormatError,
@@ -21,6 +21,7 @@ from achilles import (
     perturbation_region,
     random_network,
     save_network,
+    top_gap,
 )
 from helpers import (
     fd_gradient,
@@ -127,6 +128,19 @@ class TestLoader:
         assert format_network(parse_network(text)) == text
         assert parse_network(text) == net
 
+    def test_labelled_net_is_refused(self, tmp_path):
+        # relunet v1 has no labels line, so saving would drop them.
+        net = net_from_lists(
+            [[[1.0]], [[1.0], [-1.0]]], [[0.0], [0.0, 1.0]], [0.0], [1.0],
+            labels=("cat", "dog"),
+        )
+        with pytest.raises(ValueError, match="labels.*cat"):
+            format_network(net)
+        path = tmp_path / "net.relunet"
+        with pytest.raises(ValueError, match="labels.*cat"):
+            save_network(net, path)
+        assert not path.exists()
+
     def test_save_load_path(self, tmp_path):
         net = random_network([2, 4, 2], 3)
         path = tmp_path / "net.relunet"
@@ -206,6 +220,20 @@ class TestMargin:
     def test_single_output_margin_is_infinite(self):
         net = net_from_lists([[[1.0]], [[1.0]]], [[0.0], [0.0]], [0.0], [1.0])
         assert margin(net, [0.5]) == math.inf
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        inputs=st.integers(1, 10),
+        outputs=st.integers(1, 4),
+        rows=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gap_of_a_batch_equals_each_row_margin(self, inputs, outputs, rows, seed):
+        net = random_network([inputs, 6, outputs], seed)
+        xs = np.random.default_rng(seed).uniform(0, 1, size=(rows, inputs))
+        values = np.stack([forward(net, x).values for x in xs])
+        expected = [forward(net, x).margin for x in xs]
+        assert top_gap(values).tolist() == expected
 
     def test_sampled_margins_match_rational_oracle(self):
         net = random_network([2, 4, 3], 13)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from achilles import (
-    Box,
     ExternalQuery,
     GridOutcome,
     QueryFormatError,
@@ -33,26 +32,26 @@ class TestIntervalBounds:
     def test_point_box_collapses_to_forward(self):
         net = random_network([2, 5, 3], 44)
         x = np.array([0.3, 0.8])
-        lo, hi = interval_bounds(net, Box(lower=x, upper=x))
+        lo, hi = interval_bounds(net, x, x)
         values = forward(net, x).values
         assert np.allclose(lo, values, rtol=1e-9, atol=1e-12)
         assert np.allclose(hi, values, rtol=1e-9, atol=1e-12)
         assert (lo <= hi).all()
 
     def test_zero_net_bounds_are_biases(self):
-        lo, hi = interval_bounds(zero_net(), Box(lower=[0.0, 0.0], upper=[1.0, 1.0]))
+        lo, hi = interval_bounds(zero_net(), [0.0, 0.0], [1.0, 1.0])
         assert np.array_equal(lo, [0.0, 0.0])
         assert np.array_equal(hi, [0.0, 0.0])
         biased = net_from_lists(
             [[[0.0]], [[0.0], [0.0]]], [[0.0], [2.0, -1.0]], [0.0], [1.0]
         )
-        lo, hi = interval_bounds(biased, Box(lower=[0.0], upper=[1.0]))
+        lo, hi = interval_bounds(biased, [0.0], [1.0])
         assert np.array_equal(lo, [2.0, -1.0])
         assert np.array_equal(hi, [2.0, -1.0])
 
     def test_sampled_points_stay_inside_enclosure(self):
         net = random_network([2, 4, 2], 45)
-        lo, hi = interval_bounds(net, Box(lower=[0.0, 0.0], upper=[1.0, 1.0]))
+        lo, hi = interval_bounds(net, [0.0, 0.0], [1.0, 1.0])
         rng = np.random.default_rng(45)
         values = forward_batch(net, rng.uniform(0, 1, size=(10_000, 2)))
         assert (values >= lo - 1e-12).all()
@@ -60,18 +59,13 @@ class TestIntervalBounds:
 
     def test_dimension_check(self):
         with pytest.raises(ValueError, match="dimensions"):
-            interval_bounds(zero_net(), Box(lower=[0.0], upper=[1.0]))
+            interval_bounds(zero_net(), [0.0], [1.0])
+        with pytest.raises(ValueError, match="matching"):
+            interval_bounds(zero_net(), [0.0, 0.0], [1.0])
 
-
-class TestBox:
     def test_ordering_enforced(self):
         with pytest.raises(ValueError, match="exceeds"):
-            Box(lower=[1.0], upper=[0.0])
-
-    def test_widths(self):
-        box = Box(lower=[0.0, 0.25], upper=[1.0, 0.75])
-        assert np.array_equal(box.widths, [1.0, 0.5])
-        assert np.array_equal(box.center, [0.5, 0.5])
+            interval_bounds(flip_net(), [1.0], [0.0])
 
 
 class TestVerify:
@@ -143,6 +137,12 @@ class TestVerify:
             verify_local_robustness(
                 net, VerificationQuery(x0=np.array([0.4]), delta=0.1, label0=0)
             )
+
+    def test_nan_time_budget_rejected(self):
+        # NaN compares False against every bound, so the budget check
+        # inside the search would never fire.
+        with pytest.raises(ValueError, match="time_budget"):
+            VerificationQuery(x0=np.array([0.4]), delta=0.1, label0=0, time_budget=float("nan"))
 
     def test_ball_outside_box_rejected(self):
         net = flip_net()
