@@ -10,7 +10,7 @@ attack success rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,13 +83,17 @@ def attack(net: Network, x, config: AttackConfig) -> AttackResult:
 
 @dataclass
 class AttackCampaignResult:
-    """Outcome of attacking many starting points with one selection mode."""
+    """Outcome of attacking many starting points with one selection mode.
+
+    Row ``i`` of ``seeds``, an ``(attempts, input_size)`` array, is the
+    ``i``-th starting point.
+    """
 
     selection: str
     rate: float
     successes: int
     attempts: int
-    seeds: list[np.ndarray] = field(default_factory=list)
+    seeds: np.ndarray
 
 
 def run_attack_campaign(
@@ -116,8 +120,8 @@ def run_attack_campaign(
     if selection == "b":
         state = make_threshold_state(net, rng, seeding)
     successes = 0
-    seeds = []
-    for _ in range(n_inputs):
+    seeds = np.empty((n_inputs, net.input_size))
+    for i in range(n_inputs):
         if state is not None:
             try:
                 x, _ = generate_seed(net, state, rng)
@@ -125,7 +129,7 @@ def run_attack_campaign(
                 x = random_sample(net, rng)
         else:
             x = random_sample(net, rng)
-        seeds.append(x)
+        seeds[i] = x
         if attack(net, x, config).success:
             successes += 1
     return AttackCampaignResult(

@@ -93,8 +93,8 @@ class CampaignSpec:
             raise ValueError("time_budget must be non-negative and finite")
         if self.target_counterexamples is not None and self.target_counterexamples < 0:
             raise ValueError("target_counterexamples must be non-negative")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError("delta must be positive and finite")
         if not (math.isfinite(self.per_query_timeout) and self.per_query_timeout > 0):
             raise ValueError("per_query_timeout must be positive and finite")
 

@@ -119,6 +119,11 @@ class Network:
         if (self.input_lower > self.input_upper).any():
             bad = int(np.argmax(self.input_lower > self.input_upper))
             raise ValueError(f"input bound {bad}: lower exceeds upper")
+        # Uniform sampling scales by the width, which must not overflow.
+        with np.errstate(over="ignore"):
+            width = self.input_upper - self.input_lower
+        if not np.isfinite(width).all():
+            raise ValueError("input box widths must be finite")
         if self.labels is not None and len(self.labels) != self.output_size:
             raise ValueError(
                 f"{len(self.labels)} labels given for {self.output_size} outputs"
@@ -180,6 +185,25 @@ def _as_input(net: Network, x) -> np.ndarray:
     return x
 
 
+def _outputs(net: Network, a: np.ndarray) -> np.ndarray:
+    """Output values of each row of the 2-D input ``a``; no validation."""
+    last = len(net.weights) - 1
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        a = a @ w.T + b
+        if k != last:
+            a = np.maximum(a, 0.0)
+    return a
+
+
+def _point_values(net: Network, x) -> np.ndarray:
+    """Output values at one point.
+
+    The point goes through the layers as a one-row batch, with the same
+    matrix shapes and so the same rounding as ``forward_batch`` of it.
+    """
+    return _outputs(net, _as_input(net, x)[np.newaxis, :])[0]
+
+
 def forward_batch(net: Network, xs) -> np.ndarray:
     """Evaluate many points at once; rows of ``xs`` are inputs.
 
@@ -190,13 +214,7 @@ def forward_batch(net: Network, xs) -> np.ndarray:
         raise ValueError(
             f"batch has shape {xs.shape}, expected (n, {net.input_size})"
         )
-    a = xs
-    last = len(net.weights) - 1
-    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        a = a @ w.T + b
-        if k != last:
-            a = np.maximum(a, 0.0)
-    return a
+    return _outputs(net, xs)
 
 
 def top_gap(values: np.ndarray) -> np.ndarray:
@@ -207,32 +225,44 @@ def top_gap(values: np.ndarray) -> np.ndarray:
     if values.shape[-1] == 1:
         return np.full(values.shape[:-1], math.inf)
     # Indexing the transpose serves a row and a batch alike, and costs
-    # less than ``[..., k]`` on the per-sample path of ``margin``.
+    # less than ``[..., k]`` indexing.
     part = np.partition(values, -2).T
     return part[-1] - part[-2]
 
 
-def _profile(values: np.ndarray) -> OutputProfile:
+def _row_gap(values: list[float]) -> float:
+    """``top_gap`` of one row given as a list, without numpy's call cost.
+
+    A positive gap between two ordered numbers is the same float however
+    ties below them fall.  A tie on top (whose zero may be ``-0.0``
+    depending on partition order), NaN (which ``sorted`` does not order)
+    and a single output are left to ``top_gap`` itself.
+    """
+    if len(values) > 1:
+        ordered = sorted(values)
+        gap = ordered[-1] - ordered[-2]
+        if gap > 0.0 and not any(map(math.isnan, values)):
+            return gap
+    return float(top_gap(np.array(values)))
+
+
+def forward(net: Network, x) -> OutputProfile:
+    """Evaluate the network at one point."""
+    values = _point_values(net, x)
+    values.setflags(write=False)
     return OutputProfile(
         values=values, top_label=int(np.argmax(values)), margin=float(top_gap(values))
     )
 
 
-def forward(net: Network, x) -> OutputProfile:
-    """Evaluate the network at one point."""
-    values = forward_batch(net, _as_input(net, x)[np.newaxis, :])[0]
-    values.setflags(write=False)
-    return _profile(values)
-
-
 def margin(net: Network, x) -> float:
     """Top output minus runner-up at ``x``.  Zero exactly on a tie."""
-    return forward(net, x).margin
+    return _row_gap(_point_values(net, x).tolist())
 
 
 def classify(net: Network, x) -> int:
     """Index of the winning output at ``x`` (lowest index on ties)."""
-    return forward(net, x).top_label
+    return int(np.argmax(_point_values(net, x)))
 
 
 def margin_batch(net: Network, xs) -> np.ndarray:

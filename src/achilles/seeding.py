@@ -82,8 +82,14 @@ class ThresholdState:
 
 
 def random_sample(net: Network, rng: np.random.Generator) -> np.ndarray:
-    """One point, each coordinate uniform over its input-box interval."""
-    return rng.uniform(net.input_lower, net.input_upper)
+    """One point, each coordinate uniform over its input-box interval.
+
+    ``Generator.uniform`` computes ``low + (high - low) * random()`` per
+    coordinate from the same stream; spelling that out skips its
+    argument handling, which costs several times the arithmetic.
+    """
+    lower = net.input_lower
+    return lower + (net.input_upper - lower) * rng.random(net.input_size)
 
 
 def draw_sample_set(net: Network, rng: np.random.Generator, size: int = DEFAULT_SAMPLE_SET_SIZE) -> np.ndarray:

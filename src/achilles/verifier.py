@@ -324,8 +324,8 @@ def grid_oracle(net: Network, query: VerificationQuery, spacing: float) -> GridR
     UNSAT.  Otherwise INCONCLUSIVE.  Guarded to at most 3 input
     dimensions.
     """
-    if spacing <= 0:
-        raise ValueError("grid spacing must be positive")
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise ValueError("grid spacing must be positive and finite")
     if net.input_size > _MAX_ORACLE_DIMS:
         raise ValueError(
             f"grid oracle supports at most {_MAX_ORACLE_DIMS} input dimensions"

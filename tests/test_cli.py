@@ -101,6 +101,18 @@ class TestVerify:
         assert done.returncode == 1
         assert "must be" in done.stderr
 
+    @pytest.mark.parametrize("mode", ["r", "b", "bg"])
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta_is_usage_error(self, mode, delta, flip_net_path, tmp_path, capsys):
+        code = main(
+            [
+                "verify", "--net", flip_net_path, "--mode", mode, "--delta", delta,
+                "--find", "1", "--out", str(tmp_path / "r"),
+            ]
+        )
+        assert code == 1
+        assert "delta must be positive and finite" in capsys.readouterr().err
+
     def test_missing_net_file_is_data_error(self, tmp_path, capsys):
         code = main(
             [
@@ -165,6 +177,17 @@ class TestOracle:
         )
         assert code == 0
         assert capsys.readouterr().out.strip() == "unsat"
+
+    @pytest.mark.parametrize("spacing", ["inf", "nan", "0"])
+    def test_bad_spacing_is_usage_error(self, spacing, flip_net_path, capsys):
+        code = main(
+            [
+                "oracle", "--net", flip_net_path, "--delta", "0.05",
+                "--x0", "0.1", "--spacing", spacing,
+            ]
+        )
+        assert code == 1
+        assert "spacing must be positive and finite" in capsys.readouterr().err
 
 
 class TestUsage:

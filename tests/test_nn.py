@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from achilles import (
     NetworkFormatError,
@@ -23,6 +23,7 @@ from achilles import (
     save_network,
     top_gap,
 )
+from achilles.nn import _row_gap
 from helpers import (
     fd_gradient,
     net_from_lists,
@@ -66,6 +67,10 @@ class TestNetworkInvariants:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             net_from_lists([[[math.nan]], [[1.0]]], [[0.0], [0.0]], [0.0], [1.0])
+
+    def test_overflowing_box_width_rejected(self):
+        with pytest.raises(ValueError, match="widths must be finite"):
+            net_from_lists([[[1.0]], [[1.0]]], [[0.0], [0.0]], [-1e308], [1e308])
 
     def test_labels_length(self):
         with pytest.raises(ValueError, match="labels"):
@@ -234,6 +239,46 @@ class TestMargin:
         values = np.stack([forward(net, x).values for x in xs])
         expected = [forward(net, x).margin for x in xs]
         assert top_gap(values).tolist() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        inputs=st.integers(1, 10),
+        outputs=st.integers(1, 4),
+        hidden=st.integers(1, 3),
+        integral=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_point_margin_and_label_equal_forward(self, inputs, outputs, hidden, integral, seed):
+        # margin and classify skip the OutputProfile; they must still give
+        # forward's values bit for bit.  Integral weights make ties common.
+        net = random_network([inputs] + [5] * hidden + [outputs], seed, weight_scale=3.0)
+        if integral:
+            net = net_from_lists(
+                [np.round(w) for w in net.weights],
+                [np.round(b * 20) for b in net.biases],
+                net.input_lower,
+                net.input_upper,
+            )
+        for x in np.random.default_rng(seed).uniform(-1, 2, size=(10, inputs)):
+            profile = forward(net, x)
+            assert repr(margin(net, x)) == repr(profile.margin)
+            assert classify(net, x) == profile.top_label
+
+    @settings(max_examples=300, deadline=None)
+    @example([0.0, -0.0, -1.0, -1.0])
+    @example([-0.0, 0.0, -1.0, -1.0])
+    @given(
+        st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, math.inf, -math.inf, math.nan]),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_row_gap_equals_top_gap(self, row):
+        # Ties of +0.0 and -0.0, NaN and infinities are where a sorted
+        # list and np.partition could part ways.
+        with np.errstate(invalid="ignore"):
+            assert repr(_row_gap(list(row))) == repr(float(top_gap(np.array(row))))
 
     def test_sampled_margins_match_rational_oracle(self):
         net = random_network([2, 4, 3], 13)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import achilles.seeding as seeding
@@ -36,6 +37,33 @@ class TestRandomSample:
         assert not np.array_equal(b1, b2)
         for p in (b1, b2):
             assert net.contains(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        bounds=st.lists(
+            st.tuples(
+                st.floats(-1e6, 1e6),
+                st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_generator_uniform(self, bounds, seed):
+        # The sampler spells out Generator.uniform's arithmetic; it must
+        # produce the same bits and leave the stream in the same state.
+        lower = [lo for lo, _ in bounds]
+        upper = [lo + width for lo, width in bounds]
+        net = net_from_lists(
+            [np.zeros((2, len(bounds))), np.zeros((2, 2))], [[0, 0], [0, 0]], lower, upper
+        )
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            got = random_sample(net, ours)
+            want = reference.uniform(net.input_lower, net.input_upper)
+            assert got.tobytes() == want.tobytes()
+        assert ours.bit_generator.state == reference.bit_generator.state
 
     def test_law_of_large_numbers(self):
         net = zero_net(sizes=(1, 2, 2))
