@@ -225,25 +225,9 @@ def top_gap(values: np.ndarray) -> np.ndarray:
     if values.shape[-1] == 1:
         return np.full(values.shape[:-1], math.inf)
     # Indexing the transpose serves a row and a batch alike, and costs
-    # less than ``[..., k]`` indexing.
+    # less than ``[..., k]`` on the per-sample path of ``margin``.
     part = np.partition(values, -2).T
     return part[-1] - part[-2]
-
-
-def _row_gap(values: list[float]) -> float:
-    """``top_gap`` of one row given as a list, without numpy's call cost.
-
-    A positive gap between two ordered numbers is the same float however
-    ties below them fall.  A tie on top (whose zero may be ``-0.0``
-    depending on partition order), NaN (which ``sorted`` does not order)
-    and a single output are left to ``top_gap`` itself.
-    """
-    if len(values) > 1:
-        ordered = sorted(values)
-        gap = ordered[-1] - ordered[-2]
-        if gap > 0.0 and not any(map(math.isnan, values)):
-            return gap
-    return float(top_gap(np.array(values)))
 
 
 def forward(net: Network, x) -> OutputProfile:
@@ -257,7 +241,7 @@ def forward(net: Network, x) -> OutputProfile:
 
 def margin(net: Network, x) -> float:
     """Top output minus runner-up at ``x``.  Zero exactly on a tie."""
-    return _row_gap(_point_values(net, x).tolist())
+    return float(top_gap(_point_values(net, x)))
 
 
 def classify(net: Network, x) -> int:

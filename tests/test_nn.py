@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from achilles import (
     NetworkFormatError,
@@ -23,7 +23,6 @@ from achilles import (
     save_network,
     top_gap,
 )
-from achilles.nn import _row_gap
 from helpers import (
     fd_gradient,
     net_from_lists,
@@ -263,22 +262,6 @@ class TestMargin:
             profile = forward(net, x)
             assert repr(margin(net, x)) == repr(profile.margin)
             assert classify(net, x) == profile.top_label
-
-    @settings(max_examples=300, deadline=None)
-    @example([0.0, -0.0, -1.0, -1.0])
-    @example([-0.0, 0.0, -1.0, -1.0])
-    @given(
-        st.lists(
-            st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, math.inf, -math.inf, math.nan]),
-            min_size=1,
-            max_size=5,
-        )
-    )
-    def test_row_gap_equals_top_gap(self, row):
-        # Ties of +0.0 and -0.0, NaN and infinities are where a sorted
-        # list and np.partition could part ways.
-        with np.errstate(invalid="ignore"):
-            assert repr(_row_gap(list(row))) == repr(float(top_gap(np.array(row))))
 
     def test_sampled_margins_match_rational_oracle(self):
         net = random_network([2, 4, 3], 13)

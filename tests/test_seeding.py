@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,8 +53,8 @@ class TestRandomSample:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_equals_generator_uniform(self, bounds, seed):
-        # The sampler spells out Generator.uniform's arithmetic; it must
-        # produce the same bits and leave the stream in the same state.
+        # Whichever path the import-time probe picked, the sampler must
+        # give Generator.uniform's bits and leave the stream in its state.
         lower = [lo for lo, _ in bounds]
         upper = [lo + width for lo, width in bounds]
         net = net_from_lists(
@@ -63,6 +65,32 @@ class TestRandomSample:
             got = random_sample(net, ours)
             want = reference.uniform(net.input_lower, net.input_upper)
             assert got.tobytes() == want.tobytes()
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+    def test_probe_picks_path_by_uniform_rounding(self):
+        # Generator.uniform rounds low + width * r once where numpy's build
+        # fuses the multiply and add, and twice where it does not.  The
+        # probe box tells the two apart, and the spelled-out path must be
+        # picked exactly where uniform rounds twice.
+        lower = seeding._PROBE_LOWER.tolist()
+        upper = seeding._PROBE_UPPER.tolist()
+        r = np.random.default_rng(0).random(len(lower)).tolist()
+        once, twice = [], []
+        for lo, hi, u in zip(lower, upper, r):
+            w = hi - lo
+            once.append(float(Fraction(lo) + Fraction(w) * Fraction(u)))
+            twice.append(lo + w * u)
+        assert once != twice
+        uniform = np.random.default_rng(0).uniform(lower, upper).tolist()
+        assert seeding._SPELLED_OUT_UNIFORM_IS_EXACT == (uniform == twice)
+
+    def test_fallback_is_generator_uniform(self, monkeypatch):
+        monkeypatch.setattr(seeding, "_SPELLED_OUT_UNIFORM_IS_EXACT", False)
+        net = zero_net(lower=-2.0, upper=3.0)
+        ours, reference = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(3):
+            want = reference.uniform(net.input_lower, net.input_upper)
+            assert random_sample(net, ours).tobytes() == want.tobytes()
         assert ours.bit_generator.state == reference.bit_generator.state
 
     def test_law_of_large_numbers(self):
