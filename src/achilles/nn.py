@@ -124,6 +124,9 @@ class Network:
             width = self.input_upper - self.input_lower
         if not np.isfinite(width).all():
             raise ValueError("input box widths must be finite")
+        # Kept, read-only, so random_sample need not subtract per draw.
+        width.setflags(write=False)
+        object.__setattr__(self, "_input_width", width)
         if self.labels is not None and len(self.labels) != self.output_size:
             raise ValueError(
                 f"{len(self.labels)} labels given for {self.output_size} outputs"
@@ -185,23 +188,20 @@ def _as_input(net: Network, x) -> np.ndarray:
     return x
 
 
-def _outputs(net: Network, a: np.ndarray) -> np.ndarray:
-    """Output values of each row of the 2-D input ``a``; no validation."""
-    last = len(net.weights) - 1
-    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        a = a @ w.T + b
-        if k != last:
-            a = np.maximum(a, 0.0)
-    return a
-
-
 def _point_values(net: Network, x) -> np.ndarray:
     """Output values at one point.
 
-    The point goes through the layers as a one-row batch, with the same
-    matrix shapes and so the same rounding as ``forward_batch`` of it.
+    Each layer is one matrix-vector product (a BLAS gemv), which rounds
+    exactly as ``forward_batch`` of ``x`` as a contiguous one-row batch.
     """
-    return _outputs(net, _as_input(net, x)[np.newaxis, :])[0]
+    a = _as_input(net, x)
+    last = len(net.weights) - 1
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        a = w.dot(a)
+        a += b
+        if k != last:
+            np.maximum(a, 0.0, out=a)
+    return a
 
 
 def forward_batch(net: Network, xs) -> np.ndarray:
@@ -209,12 +209,17 @@ def forward_batch(net: Network, xs) -> np.ndarray:
 
     Returns an ``(n, output_size)`` array of output values.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != net.input_size:
+    a = np.asarray(xs, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != net.input_size:
         raise ValueError(
-            f"batch has shape {xs.shape}, expected (n, {net.input_size})"
+            f"batch has shape {a.shape}, expected (n, {net.input_size})"
         )
-    return _outputs(net, xs)
+    last = len(net.weights) - 1
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        a = a @ w.T + b
+        if k != last:
+            a = np.maximum(a, 0.0)
+    return a
 
 
 def top_gap(values: np.ndarray) -> np.ndarray:
@@ -239,9 +244,25 @@ def forward(net: Network, x) -> OutputProfile:
     )
 
 
+def _row_gap(values: np.ndarray) -> float:
+    """``top_gap`` of one output row, taken in Python floats.
+
+    A NaN leaves the sort order undefined and a tie of ``0.0`` with
+    ``-0.0`` leaves the sign of the gap to it; ``top_gap`` decides both.
+    """
+    row = values.tolist()
+    if len(row) == 1:
+        return math.inf
+    row.sort()
+    gap = row[-1] - row[-2]
+    if gap > 0.0 and not math.isnan(sum(row)):
+        return gap
+    return float(top_gap(values))
+
+
 def margin(net: Network, x) -> float:
     """Top output minus runner-up at ``x``.  Zero exactly on a tie."""
-    return float(top_gap(_point_values(net, x)))
+    return _row_gap(_point_values(net, x))
 
 
 def classify(net: Network, x) -> int:

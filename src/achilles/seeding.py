@@ -91,13 +91,13 @@ _PROBE_LOWER = np.linspace(-3.0, 2.0, 16)
 _PROBE_UPPER = _PROBE_LOWER + np.linspace(0.1, 7.3, 16)
 
 
-def _spelled_out_uniform(lower: np.ndarray, upper: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    return lower + (upper - lower) * rng.random(lower.shape[0])
+def _spelled_out_uniform(lower: np.ndarray, width: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    return lower + width * rng.random(lower.shape[0])
 
 
 def _spelled_out_uniform_is_exact() -> bool:
     ours, theirs = np.random.default_rng(0), np.random.default_rng(0)
-    got = _spelled_out_uniform(_PROBE_LOWER, _PROBE_UPPER, ours)
+    got = _spelled_out_uniform(_PROBE_LOWER, _PROBE_UPPER - _PROBE_LOWER, ours)
     return got.tobytes() == theirs.uniform(_PROBE_LOWER, _PROBE_UPPER).tobytes()
 
 
@@ -112,7 +112,7 @@ def random_sample(net: Network, rng: np.random.Generator) -> np.ndarray:
     allows.
     """
     if _SPELLED_OUT_UNIFORM_IS_EXACT:
-        return _spelled_out_uniform(net.input_lower, net.input_upper, rng)
+        return _spelled_out_uniform(net.input_lower, net._input_width, rng)
     return rng.uniform(net.input_lower, net.input_upper)
 
 

@@ -93,6 +93,10 @@ class VerificationQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=np.float64))
+        # NaN compares false against every bound, so a NaN centre gives
+        # a NaN box that the interval check would certify UNSAT.
+        if not np.isfinite(self.x0).all():
+            raise ValueError("x0 must be finite")
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise ValueError("delta must be positive and finite")
         if not self.time_budget > 0:

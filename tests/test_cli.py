@@ -189,6 +189,15 @@ class TestOracle:
         assert code == 1
         assert "spacing must be positive and finite" in capsys.readouterr().err
 
+    def test_nan_x0_is_usage_error(self, tmp_path, capsys):
+        net_path = tmp_path / "net.relunet"
+        save_network(achilles.random_network([2, 8, 2], 3), net_path)
+        code = main(
+            ["oracle", "--net", str(net_path), "--delta", "0.1", "--x0", "nan", "0.5"]
+        )
+        assert code == 1
+        assert "x0 must be finite" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_unknown_command(self):

@@ -17,6 +17,7 @@ from achilles import (
     load_network,
     margin,
     margin_batch,
+    nn,
     parse_network,
     perturbation_region,
     random_network,
@@ -248,8 +249,10 @@ class TestMargin:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_point_margin_and_label_equal_forward(self, inputs, outputs, hidden, integral, seed):
-        # margin and classify skip the OutputProfile; they must still give
-        # forward's values bit for bit.  Integral weights make ties common.
+        # The single-point path is a gemv per layer and margin takes its
+        # gap in Python floats; both must give the bits of a contiguous
+        # one-row batch, whatever the layout of x.  Integral weights make
+        # ties common.
         net = random_network([inputs] + [5] * hidden + [outputs], seed, weight_scale=3.0)
         if integral:
             net = net_from_lists(
@@ -259,9 +262,19 @@ class TestMargin:
                 net.input_upper,
             )
         for x in np.random.default_rng(seed).uniform(-1, 2, size=(10, inputs)):
+            row = forward_batch(net, x[np.newaxis])[0]
             profile = forward(net, x)
-            assert repr(margin(net, x)) == repr(profile.margin)
-            assert classify(net, x) == profile.top_label
+            assert profile.values.tobytes() == row.tobytes()
+            assert repr(margin(net, x)) == repr(profile.margin) == repr(float(top_gap(row)))
+            assert classify(net, x) == profile.top_label == int(np.argmax(row))
+            views = {
+                "F-order row": np.asfortranarray(np.stack([x, x, x]))[1],
+                "stride 2": np.repeat(x, 2)[::2],
+                "negative stride": x[::-1].copy()[::-1],
+            }
+            for name, view in views.items():
+                assert np.array_equal(view, x), name
+                assert forward(net, view).values.tobytes() == row.tobytes(), name
 
     def test_sampled_margins_match_rational_oracle(self):
         net = random_network([2, 4, 3], 13)
@@ -275,6 +288,65 @@ class TestMargin:
                 )
             )
             assert abs(margin(net, x) - float(expected)) < 1e-9
+
+
+def _bits(v: float) -> bytes:
+    return np.float64(v).tobytes()
+
+
+class TestRowGap:
+    """``margin`` takes the gap of its row in Python floats; it must give
+    ``top_gap``'s bits on every row, the awkward ones included."""
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [0.5],
+            [1.0, 1.0],
+            [0.0, -0.0],
+            [-0.0, 0.0],
+            [3.0, -0.0, 0.0],
+            [2.0, 1.0, 2.0, -5.0],
+            [math.inf, 1.0],
+            [math.inf, math.inf],
+            [-math.inf, -math.inf],
+            [1.0, -math.inf],
+            [math.inf, -math.inf, 0.0],
+            [math.nan, 1.0],
+            [1.0, math.nan],
+            [5.0, 4.0, math.nan],
+            [math.nan, 4.0, 5.0, 1.0],
+            [1e308, -1e308],
+        ],
+    )
+    def test_hand_built_rows(self, row):
+        values = np.array(row)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = nn._row_gap(values), float(top_gap(values))
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize(
+        "out_weights",
+        [
+            # Both top outputs overflow to inf: the gap is inf - inf.
+            [[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]],
+            # 0 * inf puts a NaN after an inf and a -inf.
+            [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],
+        ],
+    )
+    def test_overflowing_net(self, out_weights):
+        net = net_from_lists(
+            [[[1e308], [-1e308]], out_weights],
+            [[0.0, 0.0], [0.0] * len(out_weights)],
+            [1.0],
+            [2.0],
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = forward_batch(net, [[2.0]])[0]
+            got = margin(net, [2.0])
+            want = float(top_gap(row))
+        assert math.isnan(got)
+        assert _bits(got) == _bits(want)
 
 
 class TestClassify:

@@ -144,6 +144,13 @@ class TestVerify:
         with pytest.raises(ValueError, match="time_budget"):
             VerificationQuery(x0=np.array([0.4]), delta=0.1, label0=0, time_budget=float("nan"))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_x0_rejected(self, bad):
+        # NaN fails every bound check, so the search would certify a NaN
+        # centre UNSAT (it did on random_network([2, 8, 2], 3)).
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            VerificationQuery(x0=np.array([bad, 0.5]), delta=0.1, label0=0)
+
     def test_ball_outside_box_rejected(self):
         net = flip_net()
         with pytest.raises(ValueError, match="intersect"):
@@ -237,6 +244,11 @@ class TestExternalBoundary:
         assert np.array_equal(rebuilt.x0, query.x0)
         assert rebuilt.delta == query.delta
         assert rebuilt.label0 == query.label0
+
+    def test_imported_nan_x0_rejected(self):
+        wire = import_query("query v1\nnet a\nx0 nan 0.5\ndelta 0.1\nlabel 0\n")
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            wire.to_query()
 
     def test_witness_round_trip(self):
         point = np.array([0.52, 0.13])
