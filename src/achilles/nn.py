@@ -88,6 +88,11 @@ class Network:
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         self._validate()
+        # The single-point layer plan: (w, b, ReLU floor) per layer, no floor
+        # on the output layer.  A zero array as the floor costs np.maximum
+        # less than the scalar 0.0 and gives the same bits.
+        floors = [_frozen_array(np.zeros(b.shape[0])) for b in biases[:-1]] + [None]
+        object.__setattr__(self, "_layers", tuple(zip(weights, biases, floors)))
 
     def _validate(self) -> None:
         if len(self.weights) != len(self.biases):
@@ -188,20 +193,24 @@ def _as_input(net: Network, x) -> np.ndarray:
     return x
 
 
-def _point_values(net: Network, x) -> np.ndarray:
-    """Output values at one point.
+def _layer_values(layers, a: np.ndarray) -> np.ndarray:
+    """Output values at one already validated float64 input row.
 
-    Each layer is one matrix-vector product (a BLAS gemv), which rounds
-    exactly as ``forward_batch`` of ``x`` as a contiguous one-row batch.
+    ``layers`` is a network's ``_layers`` plan.  Each layer is one
+    matrix-vector product (a BLAS gemv), which rounds exactly as
+    ``forward_batch`` of the row as a contiguous one-row batch.
     """
-    a = _as_input(net, x)
-    last = len(net.weights) - 1
-    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+    for w, b, floor in layers:
         a = w.dot(a)
         a += b
-        if k != last:
-            np.maximum(a, 0.0, out=a)
+        if floor is not None:
+            np.maximum(a, floor, out=a)
     return a
+
+
+def _point_values(net: Network, x) -> np.ndarray:
+    """Output values at one point."""
+    return _layer_values(net._layers, _as_input(net, x))
 
 
 def forward_batch(net: Network, xs) -> np.ndarray:
@@ -209,7 +218,9 @@ def forward_batch(net: Network, xs) -> np.ndarray:
 
     Returns an ``(n, output_size)`` array of output values.
     """
-    a = np.asarray(xs, dtype=np.float64)
+    # A row matmul cannot hand a non-contiguous row to BLAS and rounds
+    # differently; in C order every batch rounds like its contiguous copy.
+    a = np.asarray(xs, dtype=np.float64, order="C")
     if a.ndim != 2 or a.shape[1] != net.input_size:
         raise ValueError(
             f"batch has shape {a.shape}, expected (n, {net.input_size})"

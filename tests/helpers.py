@@ -10,14 +10,18 @@ from fractions import Fraction
 
 import numpy as np
 
+import achilles.seeding as seeding
 from achilles import (
     GreedyConfig,
     Network,
     SearchOutcome,
+    SeedSearchExhausted,
     classify,
     forward_batch,
     gen_neighbors,
     lipschitz_bound,
+    margin,
+    random_sample,
 )
 
 
@@ -211,4 +215,33 @@ def reference_greedy_search(net, x0, delta, config=None):
         iterations=iterations,
         final_margin=current,
         trace=tuple(trace) if trace is not None else None,
+    )
+
+
+def reference_generate_seed(net, state, rng):
+    """One-draw-per-candidate loop version of ``generate_seed``.
+
+    Draws each candidate with ``random_sample`` and judges it with
+    ``margin``; reads ``MAX_SEED_SAMPLES`` from ``achilles.seeding`` at
+    call time, so a monkeypatched cap applies to both versions.
+    """
+    if not state.threshold > 0.0:
+        raise ValueError("threshold must be positive")
+    if state.col_num < 1:
+        raise ValueError("col_num must be positive")
+    state.collisions = 0
+    for _ in range(seeding.MAX_SEED_SAMPLES):
+        if state.collisions > state.col_num:
+            state.threshold *= seeding.ESCALATION_FACTOR
+            state.escalations += 1
+            state.collisions = 0
+        x = random_sample(net, rng)
+        state.samples_drawn += 1
+        if margin(net, x) < state.threshold:
+            state.collisions = 0
+            return x, state
+        state.collisions += 1
+    state.collisions = 0
+    raise SeedSearchExhausted(
+        f"no sample with margin below {state.threshold!r} in {seeding.MAX_SEED_SAMPLES} draws"
     )

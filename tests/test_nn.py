@@ -251,8 +251,8 @@ class TestMargin:
     def test_point_margin_and_label_equal_forward(self, inputs, outputs, hidden, integral, seed):
         # The single-point path is a gemv per layer and margin takes its
         # gap in Python floats; both must give the bits of a contiguous
-        # one-row batch, whatever the layout of x.  Integral weights make
-        # ties common.
+        # one-row batch, whatever the layout of x, and so must a one-row
+        # batch of any layout.  Integral weights make ties common.
         net = random_network([inputs] + [5] * hidden + [outputs], seed, weight_scale=3.0)
         if integral:
             net = net_from_lists(
@@ -268,6 +268,7 @@ class TestMargin:
             assert repr(margin(net, x)) == repr(profile.margin) == repr(float(top_gap(row)))
             assert classify(net, x) == profile.top_label == int(np.argmax(row))
             views = {
+                "block row": np.stack([x, x, x])[1],
                 "F-order row": np.asfortranarray(np.stack([x, x, x]))[1],
                 "stride 2": np.repeat(x, 2)[::2],
                 "negative stride": x[::-1].copy()[::-1],
@@ -275,6 +276,7 @@ class TestMargin:
             for name, view in views.items():
                 assert np.array_equal(view, x), name
                 assert forward(net, view).values.tobytes() == row.tobytes(), name
+                assert forward_batch(net, view[np.newaxis])[0].tobytes() == row.tobytes(), name
 
     def test_sampled_margins_match_rational_oracle(self):
         net = random_network([2, 4, 3], 13)

@@ -1,8 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 import achilles.seeding as seeding
@@ -20,7 +21,7 @@ from achilles import (
     random_sample,
     select_lowest_margin,
 )
-from helpers import constant_margin_net, net_from_lists, ramp_net, zero_net
+from helpers import constant_margin_net, net_from_lists, ramp_net, reference_generate_seed, zero_net
 
 
 class TestRandomSample:
@@ -201,13 +202,97 @@ class TestGenerateSeed:
         with pytest.raises(ValueError, match="threshold"):
             generate_seed(zero_net(), ThresholdState(threshold=0.0), np.random.default_rng(0))
 
+    def test_nan_threshold_is_rejected_before_sampling(self):
+        # Finite weights whose outputs overflow to inf - inf give NaN
+        # margins, so the threshold state starts at NaN; no draw can beat
+        # it and the search must not spend its sampling cap finding that out.
+        net = net_from_lists([[[1e200]], [[1e200], [1e200]]], [[0.0], [0.0, 0.0]], [0.0], [1.0])
+        rng = np.random.default_rng(0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = make_threshold_state(net, rng)
+        assert np.isnan(state.threshold)
+        with pytest.raises(ValueError, match="threshold"):
+            generate_seed(net, state, rng)
+        assert state.samples_drawn == 0
+
     def test_gives_up_at_sampling_cap(self, monkeypatch):
-        monkeypatch.setattr(seeding, "MAX_SEED_SAMPLES", 64)
+        # A cap that ends inside a block: exactly cap draws, and the
+        # stream where cap single draws would have left it, since
+        # run_attack_campaign's fallback sample is drawn from there.
+        cap = 2 * seeding._BLOCK + 5
+        monkeypatch.setattr(seeding, "MAX_SEED_SAMPLES", cap)
         # Single-output net: margin is infinite, no finite bar ever accepts.
-        net = net_from_lists([[[1.0]], [[1.0]]], [[0.0], [0.0]], [0.0], [1.0])
+        net = net_from_lists([[[1.0, 1.0]], [[1.0]]], [[0.0], [0.0]], [0.0, 0.0], [1.0, 1.0])
         state = ThresholdState(threshold=0.5, col_num=1000)
+        rng = np.random.default_rng(0)
         with pytest.raises(SeedSearchExhausted):
-            generate_seed(net, state, np.random.default_rng(0))
+            generate_seed(net, state, rng)
+        assert state.samples_drawn == cap
+        assert state.collisions == 0
+        reference = np.random.default_rng(0)
+        reference.random(cap * net.input_size)
+        assert rng.random(16).tobytes() == reference.random(16).tobytes()
+
+
+def _seed_search_trace(search, net, state, rng, calls):
+    """Seeds (or give-ups), the state after each call and the stream after all."""
+    trace = []
+    for _ in range(calls):
+        try:
+            trace.append(search(net, state, rng)[0].tobytes())
+        except SeedSearchExhausted:
+            trace.append("exhausted")
+        trace.append((state.threshold, state.escalations, state.samples_drawn, state.collisions))
+    trace.append(rng.random(16).tobytes())
+    return trace
+
+
+class TestBlockedSeedSearch:
+    """``generate_seed`` draws candidates in blocks; the reference draws one
+    at a time.  Seeds, state and the stream afterwards must agree bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 8), min_size=3, max_size=4),
+        block=st.sampled_from([1, 2, 3, 7, seeding._BLOCK]),
+        col_num=st.integers(1, 2 * seeding._BLOCK + 3),
+        bar=st.floats(0.02, 2.0),
+        calls=st.integers(1, 4),
+        spelled_out=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_draw_reference(self, sizes, block, col_num, bar, calls, spelled_out, seed):
+        # Small blocks put hits, escalations and block ends at every row
+        # offset; col_num runs below and above the block size.
+        net = random_network(sizes, seed, weight_scale=3.0)
+        start = make_threshold_state(net, np.random.default_rng(seed), SeedingConfig(50, col_num))
+        start.threshold *= bar
+        assume(start.threshold > 0.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(seeding, "_BLOCK", block)
+            mp.setattr(seeding, "MAX_SEED_SAMPLES", 1500)
+            mp.setattr(seeding, "_SPELLED_OUT_UNIFORM_IS_EXACT", spelled_out)
+            got = _seed_search_trace(generate_seed, net, replace(start), np.random.default_rng(seed), calls)
+            want = _seed_search_trace(reference_generate_seed, net, replace(start), np.random.default_rng(seed), calls)
+        assert got == want
+
+    @pytest.mark.parametrize("spelled_out", [True, False])
+    @pytest.mark.parametrize("row", [seeding._BLOCK - 1, seeding._BLOCK])
+    def test_hit_at_the_end_and_start_of_a_block(self, monkeypatch, row, spelled_out):
+        # ramp_net's margin at x is x, so a bar just above draw `row`
+        # accepts exactly that draw when it is the lowest so far.
+        monkeypatch.setattr(seeding, "_SPELLED_OUT_UNIFORM_IS_EXACT", spelled_out)
+        net = ramp_net()
+        seed = next(
+            s for s in range(10_000)
+            if np.argmin(np.random.default_rng(s).uniform(0.0, 2.0, row + 1)) == row
+        )
+        draws = np.random.default_rng(seed).uniform(0.0, 2.0, row + 1)
+        start = ThresholdState(threshold=float(np.nextafter(draws[row], np.inf)), col_num=10**6)
+        got = _seed_search_trace(generate_seed, net, replace(start), np.random.default_rng(seed), 1)
+        want = _seed_search_trace(reference_generate_seed, net, replace(start), np.random.default_rng(seed), 1)
+        assert got == want
+        assert got[1][2] == row + 1
 
 
 class TestDefaults:
