@@ -197,13 +197,12 @@ def generate_seed(
         left -= k
         start = rng.bit_generator.state
         block = _uniform_points(net, rng, (k, net.input_size))
-        for j in range(k):
+        for j, x in enumerate(block):
             if state.collisions > state.col_num:
                 state.threshold *= ESCALATION_FACTOR
                 state.escalations += 1
                 state.collisions = 0
             state.samples_drawn += 1
-            x = block[j]
             if _row_gap(_layer_values(layers, x)) < state.threshold:
                 state.collisions = 0
                 rng.bit_generator.state = start
