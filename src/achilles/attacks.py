@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import Network, classify, format_float, gradient
+from .nn import Network, _as_input, _backward, _layer_outputs, format_float, gradient
 from .seeding import (
     SeedSearchExhausted,
     SeedingConfig,
@@ -69,13 +69,20 @@ def fgsm_step(net: Network, x, label0: int, eps: float) -> np.ndarray:
 
 
 def attack(net: Network, x, config: AttackConfig) -> AttackResult:
-    """Iterate fgsm_step until the label flips, up to ``epo`` steps."""
-    x = np.asarray(x, dtype=np.float64)
-    label0 = classify(net, x)
-    current = x
+    """Iterate fgsm_step until the label flips, up to ``epo`` steps.
+
+    One forward pass per step: the stepped point's layer outputs give
+    both its label and the next step's gradient.
+    """
+    layers = net._layers
+    current = _as_input(net, x)
+    outputs = _layer_outputs(layers, current)
+    label0 = int(np.argmax(outputs[-1]))
     for step in range(1, config.epo + 1):
-        current = fgsm_step(net, current, label0, config.eps)
-        if classify(net, current) != label0:
+        stepped = current - config.eps * np.sign(_backward(layers, outputs, label0))
+        current = np.clip(stepped, net.input_lower, net.input_upper)
+        outputs = _layer_outputs(layers, current)
+        if int(np.argmax(outputs[-1])) != label0:
             assert net.contains(current)
             return AttackResult(success=True, adversarial=current, steps_used=step)
     return AttackResult(success=False, adversarial=None, steps_used=config.epo)

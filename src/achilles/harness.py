@@ -414,13 +414,15 @@ def report_digest(report: CampaignReport) -> str:
     """Hash of the deterministic report content.
 
     Wall-clock fields are excluded: they are the only part of a
-    single-worker campaign that varies between identical runs.
+    single-worker campaign that varies between identical runs.  Only the
+    net file's name is hashed, so a campaign digests the same from any
+    directory.
     """
     payload = {
         "mode": report.mode,
         "delta": report.delta,
         "rng_seed": report.rng_seed,
-        "net_path": report.net_path,
+        "net_path": Path(report.net_path).name,
         "config": report.config,
         "records": [
             {

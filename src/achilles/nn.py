@@ -93,6 +93,12 @@ class Network:
         # less than the scalar 0.0 and gives the same bits.
         floors = [_frozen_array(np.zeros(b.shape[0])) for b in biases[:-1]] + [None]
         object.__setattr__(self, "_layers", tuple(zip(weights, biases, floors)))
+        # The interval plan: (positive part, negative part, b, hidden) per
+        # layer, split once here rather than on every bounds query.
+        object.__setattr__(self, "_interval_layers", tuple(
+            (_frozen_array(np.maximum(w, 0.0)), _frozen_array(np.minimum(w, 0.0)), b, floor is not None)
+            for w, b, floor in self._layers
+        ))
 
     def _validate(self) -> None:
         if len(self.weights) != len(self.biases):
@@ -208,6 +214,33 @@ def _layer_values(layers, a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _layer_outputs(layers, a: np.ndarray) -> list[np.ndarray]:
+    """Every layer's output at one validated input row, ``_layer_values`` last.
+
+    A hidden output, taken after ReLU, is ``> 0`` exactly where its
+    pre-activation is, which is all ``_backward`` needs.
+    """
+    outputs = []
+    for w, b, floor in layers:
+        a = w.dot(a)
+        a += b
+        if floor is not None:
+            np.maximum(a, floor, out=a)
+        outputs.append(a)
+    return outputs
+
+
+def _backward(layers, outputs: list[np.ndarray], target_label: int) -> np.ndarray:
+    """Input gradient of ``output[target_label]`` from ``_layer_outputs``."""
+    v = np.zeros(outputs[-1].shape[0])
+    v[target_label] = 1.0
+    v = layers[-1][0].T @ v
+    for (w, _, _), a in zip(layers[-2::-1], outputs[-2::-1]):
+        v = v * (a > 0.0)
+        v = w.T @ v
+    return v
+
+
 def _point_values(net: Network, x) -> np.ndarray:
     """Output values at one point."""
     return _layer_values(net._layers, _as_input(net, x))
@@ -260,14 +293,21 @@ def _row_gap(values: np.ndarray) -> float:
 
     A NaN leaves the sort order undefined and a tie of ``0.0`` with
     ``-0.0`` leaves the sign of the gap to it; ``top_gap`` decides both.
+    Two outputs need no sort: a NaN or a tie there fails ``gap > 0.0``.
     """
     row = values.tolist()
-    if len(row) == 1:
+    if len(row) == 2:
+        u, v = row
+        gap = u - v if u > v else v - u
+        if gap > 0.0:
+            return gap
+    elif len(row) == 1:
         return math.inf
-    row.sort()
-    gap = row[-1] - row[-2]
-    if gap > 0.0 and not math.isnan(sum(row)):
-        return gap
+    else:
+        row.sort()
+        gap = row[-1] - row[-2]
+        if gap > 0.0 and not math.isnan(sum(row)):
+            return gap
     return float(top_gap(values))
 
 
@@ -299,21 +339,7 @@ def gradient(net: Network, x, target_label: int) -> np.ndarray:
         raise IndexError(
             f"label {target_label} out of range for {net.output_size} outputs"
         )
-    pre = []
-    a = x
-    last = len(net.weights) - 1
-    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = w @ a + b
-        if k != last:
-            pre.append(z)
-            a = np.maximum(z, 0.0)
-    v = np.zeros(net.output_size)
-    v[target_label] = 1.0
-    v = net.weights[last].T @ v
-    for k in range(last - 1, -1, -1):
-        v = v * (pre[k] > 0.0)
-        v = net.weights[k].T @ v
-    return v
+    return _backward(net._layers, _layer_outputs(net._layers, x), target_label)
 
 
 def lipschitz_bound(net: Network) -> float:

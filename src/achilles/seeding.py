@@ -189,30 +189,38 @@ def generate_seed(
         raise ValueError("threshold must be positive")
     if state.col_num < 1:
         raise ValueError("col_num must be positive")
-    state.collisions = 0
+    # The loop runs on locals; ``finally`` writes them back, so however
+    # the call ends, ``state`` reads as if each row had written it.
+    threshold, col_num = state.threshold, state.col_num
+    collisions, escalations, drawn = 0, state.escalations, state.samples_drawn
     layers = net._layers
+    d = net.input_size
     left = MAX_SEED_SAMPLES
-    while left > 0:
-        k = min(_BLOCK, left)
-        left -= k
-        start = rng.bit_generator.state
-        block = _uniform_points(net, rng, (k, net.input_size))
-        for j, x in enumerate(block):
-            if state.collisions > state.col_num:
-                state.threshold *= ESCALATION_FACTOR
-                state.escalations += 1
-                state.collisions = 0
-            state.samples_drawn += 1
-            if _row_gap(_layer_values(layers, x)) < state.threshold:
-                state.collisions = 0
-                rng.bit_generator.state = start
-                rng.random((j + 1) * net.input_size)
-                return x.copy(), state
-            state.collisions += 1
-    state.collisions = 0
-    raise SeedSearchExhausted(
-        f"no sample with margin below {state.threshold!r} in {MAX_SEED_SAMPLES} draws"
-    )
+    try:
+        while left > 0:
+            k = min(_BLOCK, left)
+            left -= k
+            start = rng.bit_generator.state
+            block = _uniform_points(net, rng, (k, d))
+            for j, x in enumerate(block):
+                if collisions > col_num:
+                    threshold *= ESCALATION_FACTOR
+                    escalations += 1
+                    collisions = 0
+                drawn += 1
+                if _row_gap(_layer_values(layers, x)) < threshold:
+                    collisions = 0
+                    rng.bit_generator.state = start
+                    rng.random((j + 1) * d)
+                    return x.copy(), state
+                collisions += 1
+        collisions = 0
+        raise SeedSearchExhausted(
+            f"no sample with margin below {threshold!r} in {MAX_SEED_SAMPLES} draws"
+        )
+    finally:
+        state.threshold, state.collisions = threshold, collisions
+        state.escalations, state.samples_drawn = escalations, drawn
 
 
 def select_lowest_margin(net: Network, points, count: int) -> np.ndarray:

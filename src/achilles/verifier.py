@@ -137,14 +137,6 @@ class Verdict:
         return self.kind is VerdictKind.UNSAT
 
 
-def _split_layers(net: Network):
-    layers = []
-    last = len(net.weights) - 1
-    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        layers.append((np.maximum(w, 0.0), np.minimum(w, 0.0), b, k != last))
-    return layers
-
-
 def _propagate(layers, lo, hi):
     for w_pos, w_neg, b, hidden in layers:
         new_lo = w_pos @ lo + w_neg @ hi + b
@@ -173,7 +165,7 @@ def interval_bounds(net: Network, lower, upper) -> tuple[np.ndarray, np.ndarray]
         )
     if (lower > upper).any():
         raise ValueError("box lower bound exceeds upper bound")
-    return _propagate(_split_layers(net), lower, upper)
+    return _propagate(net._interval_layers, lower, upper)
 
 
 def _certification_gap(lo, hi, label0) -> float:
@@ -240,7 +232,7 @@ def verify_local_robustness(net: Network, query: VerificationQuery) -> Verdict:
         )
     lo, hi = perturbation_region(net, query.x0, query.delta)
     min_width = query.resolved_min_box_width
-    layers = _split_layers(net)
+    layers = net._interval_layers
     rng = np.random.default_rng(0)  # fixed corner sample: verdicts are reproducible
 
     def finish(kind, witness=None, reason=None):

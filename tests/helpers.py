@@ -12,6 +12,7 @@ import numpy as np
 
 import achilles.seeding as seeding
 from achilles import (
+    AttackResult,
     GreedyConfig,
     Network,
     SearchOutcome,
@@ -245,3 +246,45 @@ def reference_generate_seed(net, state, rng):
     raise SeedSearchExhausted(
         f"no sample with margin below {state.threshold!r} in {seeding.MAX_SEED_SAMPLES} draws"
     )
+
+
+def reference_gradient(net, x, target_label):
+    """Separate-forward-pass version of ``gradient``.
+
+    Keeps every hidden pre-activation and masks the backward pass with
+    ``pre > 0``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    pre = []
+    a = x
+    last = len(net.weights) - 1
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = w @ a + b
+        if k != last:
+            pre.append(z)
+            a = np.maximum(z, 0.0)
+    v = np.zeros(net.output_size)
+    v[target_label] = 1.0
+    v = net.weights[last].T @ v
+    for k in range(last - 1, -1, -1):
+        v = v * (pre[k] > 0.0)
+        v = net.weights[k].T @ v
+    return v
+
+
+def reference_attack(net, x, config):
+    """Two-passes-per-step version of ``attack``.
+
+    Each step takes ``reference_gradient`` at the current point, moves
+    against its sign, clips to the box, then runs ``classify`` on the
+    stepped point.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    label0 = classify(net, x)
+    current = x
+    for step in range(1, config.epo + 1):
+        stepped = current - config.eps * np.sign(reference_gradient(net, current, label0))
+        current = np.clip(stepped, net.input_lower, net.input_upper)
+        if classify(net, current) != label0:
+            return AttackResult(success=True, adversarial=current, steps_used=step)
+    return AttackResult(success=False, adversarial=None, steps_used=config.epo)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from achilles import (
     AttackConfig,
@@ -7,12 +8,20 @@ from achilles import (
     classify,
     export_seed_list,
     fgsm_step,
+    gradient,
     lipschitz_bound,
     random_network,
     run_attack_campaign,
 )
 from achilles.seeding import SeedingConfig
-from helpers import constant_margin_net, dominate_class, flip_net, zero_net
+from helpers import (
+    constant_margin_net,
+    dominate_class,
+    flip_net,
+    reference_attack,
+    reference_gradient,
+    zero_net,
+)
 
 
 class TestFgsmStep:
@@ -98,6 +107,40 @@ class TestAttack:
                 assert classify(net, result.adversarial) != classify(net, x)
                 assert net.contains(result.adversarial)
         assert successes > 0
+
+
+class TestOnePassPerStep:
+    """``attack`` reuses each stepped point's forward pass for the next
+    gradient; the reference runs ``gradient`` and ``classify`` apart.
+    Both must agree bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 8), min_size=2, max_size=3),
+        outputs=st.integers(1, 4),
+        scale=st.floats(0.5, 3.0),
+        eps=st.floats(1e-3, 0.5),
+        epo=st.integers(1, 6),
+        on_edge=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_two_pass_reference(self, sizes, outputs, scale, eps, epo, on_edge, seed):
+        net = random_network(sizes + [outputs], seed, weight_scale=scale, input_bounds=(-1.0, 1.0))
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(net.input_lower, net.input_upper)
+        if on_edge:
+            # Each coordinate stays inside, or sits on its lower or upper bound.
+            side = rng.integers(0, 3, size=x.shape)
+            x = np.where(side == 1, net.input_lower, np.where(side == 2, net.input_upper, x))
+        config = AttackConfig(eps=eps, epo=epo)
+        got, want = attack(net, x, config), reference_attack(net, x, config)
+        assert (got.success, got.steps_used) == (want.success, want.steps_used)
+        if want.success:
+            assert got.adversarial.tobytes() == want.adversarial.tobytes()
+        else:
+            assert got.adversarial is None
+        for label in range(outputs):
+            assert gradient(net, x, label).tobytes() == reference_gradient(net, x, label).tobytes()
 
 
 class TestAttackConfig:

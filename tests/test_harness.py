@@ -256,6 +256,19 @@ class TestReportFiles:
         )
         assert report_digest(report) == report_digest(slower)
 
+    def test_digest_independent_of_net_directory(self, tmp_path):
+        digests = []
+        for where in ("one", "two"):
+            path = tmp_path / where / "flip.relunet"
+            path.parent.mkdir()
+            save_network(flip_net(), path)
+            spec = CampaignSpec(
+                net_path=str(path), mode=Mode.BG, delta=0.2,
+                target_counterexamples=4, seeding=fast_seeding(), rng_seed=21,
+            )
+            digests.append(report_digest(run_campaign(spec)))
+        assert digests[0] == digests[1]
+
     def test_digest_sees_content_changes(self, flip_net_path):
         report = self._make_report(flip_net_path)
         changed = dataclasses.replace(

@@ -319,6 +319,10 @@ class TestRowGap:
             [5.0, 4.0, math.nan],
             [math.nan, 4.0, 5.0, 1.0],
             [1e308, -1e308],
+            [math.inf, -math.inf],
+            [-math.inf, 1.0],
+            [0.25, 1.5],
+            [1.5, 0.25],
         ],
     )
     def test_hand_built_rows(self, row):

@@ -21,6 +21,7 @@ from achilles import (
     random_sample,
     select_lowest_margin,
 )
+import helpers
 from helpers import constant_margin_net, net_from_lists, ramp_net, reference_generate_seed, zero_net
 
 
@@ -293,6 +294,34 @@ class TestBlockedSeedSearch:
         want = _seed_search_trace(reference_generate_seed, net, replace(start), np.random.default_rng(seed), 1)
         assert got == want
         assert got[1][2] == row + 1
+
+    @pytest.mark.parametrize("fail_at", [1, 11, 12, 70])
+    def test_error_mid_search_leaves_state_as_reference(self, fail_at):
+        # Margins are all 1.0 and the bar stays below it for 70 draws,
+        # so the search escalates every 11 misses and never accepts.
+        # Draw 12 escalates just before it fails; draw 70 is in block 2.
+        class Boom(Exception):
+            pass
+
+        net = constant_margin_net(gap=1.0)
+        states = []
+        for module, judge, search in ((seeding, "_row_gap", generate_seed), (helpers, "margin", reference_generate_seed)):
+            count = iter(range(1, fail_at + 1))
+            original = getattr(module, judge)
+
+            def failing(*args, original=original, count=count):
+                if next(count) == fail_at:
+                    raise Boom
+                return original(*args)
+
+            state = ThresholdState(threshold=0.5, col_num=10, escalations=2, samples_drawn=7)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(module, judge, failing)
+                with pytest.raises(Boom):
+                    search(net, state, np.random.default_rng(0))
+            states.append(state)
+        assert states[0] == states[1]
+        assert states[0].samples_drawn == 7 + fail_at
 
 
 class TestDefaults:
