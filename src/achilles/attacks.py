@@ -57,6 +57,11 @@ class AttackResult:
     steps_used: int
 
 
+def _signed_step(net: Network, x: np.ndarray, grad: np.ndarray, eps: float) -> np.ndarray:
+    """``x`` moved ``eps`` against the sign of ``grad`` per coordinate, box-clipped."""
+    return np.clip(x - eps * np.sign(grad), net.input_lower, net.input_upper)
+
+
 def fgsm_step(net: Network, x, label0: int, eps: float) -> np.ndarray:
     """One signed-gradient step against the current winner, box-clipped.
 
@@ -64,12 +69,11 @@ def fgsm_step(net: Network, x, label0: int, eps: float) -> np.ndarray:
     gradient vanishes) in the direction that lowers ``output[label0]``.
     """
     x = np.asarray(x, dtype=np.float64)
-    stepped = x - eps * np.sign(gradient(net, x, label0))
-    return np.clip(stepped, net.input_lower, net.input_upper)
+    return _signed_step(net, x, gradient(net, x, label0), eps)
 
 
 def attack(net: Network, x, config: AttackConfig) -> AttackResult:
-    """Iterate fgsm_step until the label flips, up to ``epo`` steps.
+    """Take ``fgsm_step``'s steps until the label flips, up to ``epo`` steps.
 
     One forward pass per step: the stepped point's layer outputs give
     both its label and the next step's gradient.
@@ -79,8 +83,7 @@ def attack(net: Network, x, config: AttackConfig) -> AttackResult:
     outputs = _layer_outputs(layers, current)
     label0 = int(np.argmax(outputs[-1]))
     for step in range(1, config.epo + 1):
-        stepped = current - config.eps * np.sign(_backward(layers, outputs, label0))
-        current = np.clip(stepped, net.input_lower, net.input_upper)
+        current = _signed_step(net, current, _backward(layers, outputs, label0), config.eps)
         outputs = _layer_outputs(layers, current)
         if int(np.argmax(outputs[-1])) != label0:
             assert net.contains(current)

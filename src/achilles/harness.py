@@ -116,6 +116,8 @@ class RunRecord:
 
 @dataclass
 class CampaignReport:
+    """``net_sha256`` is ``_net_fingerprint`` of the net the campaign ran on."""
+
     mode: str
     delta: float
     rng_seed: int
@@ -123,6 +125,7 @@ class CampaignReport:
     records: list[RunRecord] = field(default_factory=list)
     wall_time_s: float = 0.0
     config: dict = field(default_factory=dict)
+    net_sha256: str = ""
 
     @property
     def runs(self) -> int:
@@ -260,7 +263,16 @@ def run_campaign(spec: CampaignSpec, net: Network | None = None) -> CampaignRepo
         records=records,
         wall_time_s=time.perf_counter() - started,
         config=_config_echo(spec),
+        net_sha256=_net_fingerprint(net),
     )
+
+
+def _net_fingerprint(net: Network) -> str:
+    """SHA-256 of a network's layer sizes, weights, biases and input box."""
+    digest = hashlib.sha256(repr(net.layer_sizes).encode("utf-8"))
+    for arr in (*net.weights, *net.biases, net.input_lower, net.input_upper):
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
 
 
 def _config_echo(spec: CampaignSpec) -> dict:
@@ -345,6 +357,7 @@ def report_write(report: CampaignReport, out_dir) -> Path:
         "delta": report.delta,
         "rng_seed": report.rng_seed,
         "net_path": report.net_path,
+        "net_sha256": report.net_sha256,
         "runs": report.runs,
         "sat_total": report.sat_total,
         "sat_by_greedy": report.sat_by_greedy,
@@ -401,6 +414,7 @@ def report_read(out_dir) -> CampaignReport:
         records=records,
         wall_time_s=float(summary.get("wall_time_s", 0.0)),
         config=summary.get("config", {}),
+        net_sha256=summary.get("net_sha256", ""),
     )
     for key in ("runs", "sat_total", "sat_by_greedy"):
         if key in summary and summary[key] != getattr(report, key):
@@ -414,15 +428,16 @@ def report_digest(report: CampaignReport) -> str:
     """Hash of the deterministic report content.
 
     Wall-clock fields are excluded: they are the only part of a
-    single-worker campaign that varies between identical runs.  Only the
-    net file's name is hashed, so a campaign digests the same from any
-    directory.
+    single-worker campaign that varies between identical runs.  The net
+    enters by its file name and its ``_net_fingerprint``, not its directory,
+    so a campaign digests the same from any checkout.
     """
     payload = {
         "mode": report.mode,
         "delta": report.delta,
         "rng_seed": report.rng_seed,
         "net_path": Path(report.net_path).name,
+        "net_sha256": report.net_sha256,
         "config": report.config,
         "records": [
             {

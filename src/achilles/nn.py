@@ -199,34 +199,32 @@ def _as_input(net: Network, x) -> np.ndarray:
     return x
 
 
-def _layer_values(layers, a: np.ndarray) -> np.ndarray:
+def _layer_values(layers, a: np.ndarray, outputs: list | None = None) -> np.ndarray:
     """Output values at one already validated float64 input row.
 
     ``layers`` is a network's ``_layers`` plan.  Each layer is one
     matrix-vector product (a BLAS gemv), which rounds exactly as
-    ``forward_batch`` of the row as a contiguous one-row batch.
+    ``forward_batch`` of the row as a contiguous one-row batch.  Given
+    a list as ``outputs``, every layer's output is appended to it.
     """
     for w, b, floor in layers:
         a = w.dot(a)
         a += b
         if floor is not None:
             np.maximum(a, floor, out=a)
+        if outputs is not None:
+            outputs.append(a)
     return a
 
 
 def _layer_outputs(layers, a: np.ndarray) -> list[np.ndarray]:
-    """Every layer's output at one validated input row, ``_layer_values`` last.
+    """Every layer's output at one validated input row, the output values last.
 
     A hidden output, taken after ReLU, is ``> 0`` exactly where its
     pre-activation is, which is all ``_backward`` needs.
     """
     outputs = []
-    for w, b, floor in layers:
-        a = w.dot(a)
-        a += b
-        if floor is not None:
-            np.maximum(a, floor, out=a)
-        outputs.append(a)
+    _layer_values(layers, a, outputs)
     return outputs
 
 

@@ -269,6 +269,31 @@ class TestReportFiles:
             digests.append(report_digest(run_campaign(spec)))
         assert digests[0] == digests[1]
 
+    @pytest.mark.parametrize("target", [0, 2])
+    @pytest.mark.parametrize("nudge", ["weight", "input box"])
+    def test_digest_tells_same_named_nets_apart(self, tmp_path, target, nudge):
+        # Two nets that differ in one weight or bound, saved under one file
+        # name in two directories: their records may agree, their digests
+        # must not.
+        net = flip_net()
+        if nudge == "weight":
+            weights = [w.copy() for w in net.weights]
+            weights[1][0, 0] = 1.5
+            nudged = dataclasses.replace(net, weights=tuple(weights))
+        else:
+            nudged = dataclasses.replace(net, input_upper=np.array([2.0]))
+        digests = []
+        for where, net in (("one", flip_net()), ("two", nudged)):
+            path = tmp_path / where / "net.relunet"
+            path.parent.mkdir()
+            save_network(net, path)
+            spec = CampaignSpec(
+                net_path=str(path), mode=Mode.R, delta=0.2,
+                target_counterexamples=target, seeding=fast_seeding(), rng_seed=21,
+            )
+            digests.append(report_digest(run_campaign(spec)))
+        assert digests[0] != digests[1]
+
     def test_digest_sees_content_changes(self, flip_net_path):
         report = self._make_report(flip_net_path)
         changed = dataclasses.replace(
