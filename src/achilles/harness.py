@@ -13,10 +13,13 @@ import csv
 import hashlib
 import json
 import math
+import sys
 import time
-from dataclasses import asdict, dataclass, field
+from collections.abc import Callable
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -276,18 +279,14 @@ def _net_fingerprint(net: Network) -> str:
 
 
 def _config_echo(spec: CampaignSpec) -> dict:
-    echo = {
+    return {
         "time_budget": spec.time_budget,
         "target_counterexamples": spec.target_counterexamples,
         "per_query_timeout": spec.per_query_timeout,
         "min_box_width": spec.min_box_width,
         "seeding": asdict(spec.seeding),
+        "greedy": asdict(spec.greedy_config) if spec.greedy_config is not None else None,
     }
-    if spec.greedy_config is not None:
-        echo["greedy"] = asdict(spec.greedy_config)
-    else:
-        echo["greedy"] = None
-    return echo
 
 
 def audit_report(net: Network, report: CampaignReport) -> None:
@@ -310,18 +309,6 @@ def audit_report(net: Network, report: CampaignReport) -> None:
 # Report files: runs.csv (one row per run) + summary.json (aggregates).
 # ---------------------------------------------------------------------------
 
-_CSV_COLUMNS = [
-    "index",
-    "mode",
-    "seed",
-    "seed_margin",
-    "outcome",
-    "greedy_found",
-    "witness",
-    "reason",
-    "time_ms",
-]
-
 
 def _pack_floats(values) -> str:
     return " ".join(repr(float(v)) for v in values)
@@ -331,92 +318,109 @@ def _unpack_floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split())
 
 
+def _parse_flag(text: str) -> bool:
+    return bool(int(text))
+
+
+class _Column(NamedTuple):
+    parse: Callable[[str], object]
+    optional: bool = False  # an empty cell reads as None
+    wall_clock: bool = False  # left out of report_digest
+
+
+# The runs.csv format: one column per RunRecord field, in field order.  A
+# cell is written, and digested, by the formatter of its column's parser.
+_COLUMNS = {
+    "index": _Column(int),
+    "mode": _Column(str),
+    "seed": _Column(_unpack_floats),
+    "seed_margin": _Column(float),
+    "outcome": _Column(str),
+    "greedy_found": _Column(_parse_flag),
+    "witness": _Column(_unpack_floats, optional=True),
+    "reason": _Column(str, optional=True),
+    "time_ms": _Column(float, wall_clock=True),
+}
+_CELL_FORMATS = {float: repr, _unpack_floats: _pack_floats, _parse_flag: int}
+_DIGEST_FORMATS = {float: repr, _unpack_floats: lambda values: [repr(v) for v in values]}
+# summary.json holds every CampaignReport field but the records, and these.
+_AGGREGATES = ("runs", "sat_total", "sat_by_greedy", "rate")
+
+
+def _formatted(record: RunRecord, name: str, formats: dict):
+    value = getattr(record, name)
+    fmt = formats.get(_COLUMNS[name].parse)
+    return value if value is None or fmt is None else fmt(value)
+
+
+def _campaign_fields(report: CampaignReport) -> dict:
+    return {f.name: getattr(report, f.name) for f in fields(report) if f.name != "records"}
+
+
 def report_write(report: CampaignReport, out_dir) -> Path:
     """Write runs.csv and summary.json under ``out_dir``; returns the dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "runs.csv", "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(_CSV_COLUMNS)
+        writer.writerow(_COLUMNS)
         for r in report.records:
-            writer.writerow(
-                [
-                    r.index,
-                    r.mode,
-                    _pack_floats(r.seed),
-                    repr(r.seed_margin),
-                    r.outcome,
-                    int(r.greedy_found),
-                    _pack_floats(r.witness) if r.witness is not None else "",
-                    r.reason if r.reason is not None else "",
-                    repr(r.time_ms),
-                ]
-            )
-    summary = {
-        "mode": report.mode,
-        "delta": report.delta,
-        "rng_seed": report.rng_seed,
-        "net_path": report.net_path,
-        "net_sha256": report.net_sha256,
-        "runs": report.runs,
-        "sat_total": report.sat_total,
-        "sat_by_greedy": report.sat_by_greedy,
-        "rate": report.rate,
-        "wall_time_s": report.wall_time_s,
-        "config": report.config,
-    }
+            writer.writerow([_formatted(r, name, _CELL_FORMATS) for name in _COLUMNS])
+    summary = _campaign_fields(report) | {key: getattr(report, key) for key in _AGGREGATES}
     with open(out / "summary.json", "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return out
 
 
+def _summary_value(name: str, value, kind: type):
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if type(value) is not kind:
+        raise ReportFormatError(f"summary {name}={value!r} is not {kind.__name__}")
+    return value
+
+
 def report_read(out_dir) -> CampaignReport:
-    """Read a report back; inverse of report_write."""
+    """Read a report back; inverse of report_write.
+
+    A summary key that is absent takes its ``CampaignReport`` default.
+    """
     out = Path(out_dir)
     try:
         with open(out / "summary.json", encoding="utf-8") as handle:
             summary = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ReportFormatError(f"cannot read summary: {exc}") from None
+    if not isinstance(summary, dict):
+        raise ReportFormatError("summary.json does not hold a JSON object")
+    kinds = get_type_hints(CampaignReport)
+    campaign = {}
+    for f in fields(CampaignReport):
+        if f.name in summary and f.name != "records":
+            campaign[f.name] = _summary_value(f.name, summary[f.name], kinds[f.name])
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ReportFormatError(f"summary.json has no {f.name}")
     records: list[RunRecord] = []
     try:
         with open(out / "runs.csv", newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
-            if header != _CSV_COLUMNS:
+            if header != list(_COLUMNS):
                 raise ReportFormatError(f"unexpected CSV header {header}")
             for row in reader:
-                if len(row) != len(_CSV_COLUMNS):
+                if len(row) != len(_COLUMNS):
                     raise ReportFormatError(f"bad CSV row: {row}")
-                records.append(
-                    RunRecord(
-                        index=int(row[0]),
-                        mode=row[1],
-                        seed=_unpack_floats(row[2]),
-                        seed_margin=float(row[3]),
-                        outcome=row[4],
-                        greedy_found=bool(int(row[5])),
-                        witness=_unpack_floats(row[6]) if row[6] else None,
-                        reason=row[7] if row[7] else None,
-                        time_ms=float(row[8]),
-                    )
-                )
+                records.append(RunRecord(**{
+                    name: None if column.optional and not cell else column.parse(cell)
+                    for (name, column), cell in zip(_COLUMNS.items(), row)
+                }))
     except OSError as exc:
         raise ReportFormatError(f"cannot read runs: {exc}") from None
     except ValueError as exc:
         raise ReportFormatError(f"malformed runs.csv: {exc}") from None
-    report = CampaignReport(
-        mode=summary.get("mode", ""),
-        delta=float(summary.get("delta", 0.0)),
-        rng_seed=int(summary.get("rng_seed", 0)),
-        net_path=summary.get("net_path", ""),
-        records=records,
-        wall_time_s=float(summary.get("wall_time_s", 0.0)),
-        config=summary.get("config", {}),
-        net_sha256=summary.get("net_sha256", ""),
-    )
-    for key in ("runs", "sat_total", "sat_by_greedy"):
+    report = CampaignReport(records=records, **campaign)
+    for key in _AGGREGATES:
         if key in summary and summary[key] != getattr(report, key):
             raise ReportFormatError(
                 f"summary {key}={summary[key]} disagrees with runs.csv"
@@ -432,26 +436,16 @@ def report_digest(report: CampaignReport) -> str:
     enters by its file name and its ``_net_fingerprint``, not its directory,
     so a campaign digests the same from any checkout.
     """
-    payload = {
-        "mode": report.mode,
-        "delta": report.delta,
-        "rng_seed": report.rng_seed,
-        "net_path": Path(report.net_path).name,
-        "net_sha256": report.net_sha256,
-        "config": report.config,
-        "records": [
-            {
-                "index": r.index,
-                "mode": r.mode,
-                "seed": [repr(v) for v in r.seed],
-                "seed_margin": repr(r.seed_margin),
-                "outcome": r.outcome,
-                "greedy_found": r.greedy_found,
-                "witness": [repr(v) for v in r.witness] if r.witness is not None else None,
-                "reason": r.reason,
-            }
-            for r in report.records
-        ],
-    }
+    payload = _campaign_fields(report)
+    del payload["wall_time_s"]
+    payload["net_path"] = Path(report.net_path).name
+    payload["records"] = [
+        {
+            name: _formatted(r, name, _DIGEST_FORMATS)
+            for name, column in _COLUMNS.items()
+            if not column.wall_clock
+        }
+        for r in report.records
+    ]
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()

@@ -527,15 +527,15 @@ def parse_network(text: str) -> Network:
     weights = []
     biases = []
     for k, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
-        w = np.empty((n_out, n_in))
-        b = np.empty(n_out)
+        # Rows are parsed before the layer is built, so a size larger than
+        # the file ends at its last line instead of in a huge allocation.
+        neurons = []
         for i in range(n_out):
             line, row = take(f"layer {k} neuron {i}")
-            values = _parse_floats(row, line, n_in + 1, f"layer {k} neuron {i}")
-            w[i] = values[:-1]
-            b[i] = values[-1]
-        weights.append(w)
-        biases.append(b)
+            neurons.append(_parse_floats(row, line, n_in + 1, f"layer {k} neuron {i}"))
+        layer = np.array(neurons)
+        weights.append(layer[:, :-1])
+        biases.append(layer[:, -1])
 
     if pos != len(rows):
         raise NetworkFormatError("trailing content after last layer", rows[pos][0])

@@ -134,7 +134,7 @@ def draw_sample_set(net: Network, rng: np.random.Generator, size: int = DEFAULT_
     """An ``(size, input_size)`` array of independent uniform points."""
     if size < 1:
         raise ValueError("sample set size must be positive")
-    return rng.uniform(net.input_lower, net.input_upper, size=(size, net.input_size))
+    return _uniform_points(net, rng, (size, net.input_size))
 
 
 def compute_threshold(net: Network, samples, strategy: str = "minimum") -> float:

@@ -133,6 +133,15 @@ class TestVerify:
         )
         assert code == 2
 
+    def test_oversized_layer_is_data_error(self, tmp_path, capsys):
+        # Four lines that declare 10**11 hidden neurons: parsing must run out
+        # of rows instead of allocating the layer.
+        bad = tmp_path / "huge.net"
+        bad.write_text("relunet v1\n2 100000000000 2\n0 0\n1 1\n")
+        code = main(["oracle", "--net", str(bad), "--delta", "0.1", "--x0", "0.5", "0.5"])
+        assert code == 2
+        assert "line 5: unexpected end of file, expected layer 0 neuron 0" in capsys.readouterr().err
+
 
 class TestAttack:
     def test_prints_rate(self, flip_net_path, capsys):

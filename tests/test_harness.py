@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from achilles import (
+    CampaignReport,
     CampaignSpec,
     Mode,
     ReportFormatError,
+    RunRecord,
     SeedingConfig,
     audit_report,
     load_network,
@@ -20,6 +22,7 @@ from achilles import (
     run_query,
     save_network,
 )
+from achilles import harness
 from helpers import flip_net, zero_net
 
 
@@ -35,6 +38,23 @@ def zero_net_path(tmp_path):
     path = tmp_path / "zero.relunet"
     save_network(zero_net(), path)
     return str(path)
+
+
+def error_and_unknown_report():
+    """A report whose error row has no seed, margin or witness, and whose
+    reasons hold the CSV delimiter and quote character."""
+    records = [
+        RunRecord(0, "b", (), math.nan, "error", False, None,
+                  'SeedSearchExhausted: no seed under "0.25", col_num reached', 1.5),
+        RunRecord(1, "b", (0.1, 0.2), 0.003, "unknown", False, None, "budget, 7 boxes left", 2000.0),
+        RunRecord(2, "b", (0.3, 1e-300), -0.0, "sat", False, (0.30000000000000004, 5e-324), None, 0.5),
+        RunRecord(3, "b", (0.5, 0.5), 1.0, "unsat", False, None, None, 0.125),
+    ]
+    return CampaignReport(
+        mode="b", delta=0.05, rng_seed=7, net_path="nets/net.relunet", records=records,
+        wall_time_s=2.25, config={"time_budget": 2.0, "seeding": {"col_num": 10}},
+        net_sha256="ab" * 32,
+    )
 
 
 def fast_seeding():
@@ -246,6 +266,59 @@ class TestReportFiles:
     def test_missing_files_raise(self, tmp_path):
         with pytest.raises(ReportFormatError):
             report_read(tmp_path / "nope")
+
+    def test_error_and_unknown_rows_round_trip(self, tmp_path):
+        report = error_and_unknown_report()
+        back = report_read(report_write(report, tmp_path / "a"))
+        error = back.records[0]
+        assert error.seed == () and math.isnan(error.seed_margin) and error.witness is None
+        assert error.reason == report.records[0].reason
+        assert back.records[1:] == report.records[1:]
+        assert dataclasses.replace(back, records=[]) == dataclasses.replace(report, records=[])
+        report_write(back, tmp_path / "b")
+        for name in ("runs.csv", "summary.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_error_and_unknown_rows_digest(self, tmp_path):
+        # Pinned: the digest's shape is part of the report format.
+        report = error_and_unknown_report()
+        digest = "2b0c18e7031e4bbcdda67f3dc9295d568a2c5125252414a28284a8241e263fb6"
+        assert report_digest(report) == digest
+        assert report_digest(report_read(report_write(report, tmp_path / "r"))) == digest
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda s: [],
+            lambda s: 5,
+            lambda s: {**s, "delta": "x"},
+            lambda s: {**s, "rng_seed": None},
+            lambda s: {**s, "delta": 10**400},
+            lambda s: {k: v for k, v in s.items() if k != "mode"},
+        ],
+        ids=["list", "number", "delta-string", "rng-seed-null", "delta-too-big", "no-mode"],
+    )
+    def test_malformed_summary_rejected(self, tmp_path, edit):
+        out = report_write(error_and_unknown_report(), tmp_path / "report")
+        summary = json.loads((out / "summary.json").read_text())
+        (out / "summary.json").write_text(json.dumps(edit(summary)))
+        with pytest.raises(ReportFormatError, match="summary"):
+            report_read(out)
+
+    def test_absent_summary_keys_take_defaults(self, tmp_path):
+        report = error_and_unknown_report()
+        out = report_write(report, tmp_path / "report")
+        summary = json.loads((out / "summary.json").read_text())
+        for key in ("config", "net_sha256", "wall_time_s", "rate"):
+            del summary[key]
+        summary["delta"] = 1
+        (out / "summary.json").write_text(json.dumps(summary))
+        back = report_read(out)
+        assert (back.config, back.net_sha256, back.wall_time_s) == ({}, "", 0.0)
+        assert back.delta == 1.0 and isinstance(back.delta, float)
+
+    def test_columns_follow_run_record_fields(self):
+        assert list(harness._COLUMNS) == [f.name for f in dataclasses.fields(RunRecord)]
 
     def test_digest_excludes_wall_times(self, flip_net_path):
         report = self._make_report(flip_net_path)

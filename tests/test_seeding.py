@@ -55,7 +55,7 @@ class TestRandomSample:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_equals_generator_uniform(self, bounds, seed):
-        # Whichever path the import-time probe picked, the sampler must
+        # Whichever path the import-time probe picked, both samplers must
         # give Generator.uniform's bits and leave the stream in its state.
         lower = [lo for lo, _ in bounds]
         upper = [lo + width for lo, width in bounds]
@@ -67,6 +67,9 @@ class TestRandomSample:
             got = random_sample(net, ours)
             want = reference.uniform(net.input_lower, net.input_upper)
             assert got.tobytes() == want.tobytes()
+        got = draw_sample_set(net, ours, 7)
+        want = reference.uniform(net.input_lower, net.input_upper, size=(7, len(bounds)))
+        assert got.tobytes() == want.tobytes()
         assert ours.bit_generator.state == reference.bit_generator.state
 
     def test_probe_picks_path_by_uniform_rounding(self):
