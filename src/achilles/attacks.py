@@ -119,7 +119,8 @@ def run_attack_campaign(
 
     When weak-seed generation cannot qualify a point (degenerate margins,
     sampling cap), that input degrades to a plain random sample so the
-    campaign always completes.
+    campaign always completes; when no finite seed threshold exists, every
+    input does.
     """
     if n_inputs < 1:
         raise ValueError("n_inputs must be positive")
@@ -128,7 +129,10 @@ def run_attack_campaign(
     rng = np.random.default_rng(rng)
     state = None
     if selection == "b":
-        state = make_threshold_state(net, rng, seeding)
+        try:
+            state = make_threshold_state(net, rng, seeding)
+        except ValueError:
+            pass
     successes = 0
     seeds = np.empty((n_inputs, net.input_size))
     for i in range(n_inputs):

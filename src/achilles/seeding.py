@@ -9,6 +9,7 @@ whenever too many consecutive draws miss.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,62 +73,32 @@ class SeedingConfig:
 class ThresholdState:
     """Mutable acceptance bar shared by consecutive generate_seed calls.
 
-    ``collisions`` counts the current failure streak and is zero between
-    calls; ``escalations`` and ``samples_drawn`` accumulate for reports.
+    ``escalations`` and ``samples_drawn`` accumulate for reports.
     Callers must serialize access to one instance; independent states may
     run in parallel.
     """
 
     threshold: float
     col_num: int = DEFAULT_COL_NUM
-    collisions: int = 0
     escalations: int = 0
     samples_drawn: int = 0
 
 
-# ``Generator.uniform`` draws ``low + (high - low) * random()`` per
-# coordinate in numpy's C code.  Spelling that out skips its argument
-# handling, which costs several times the arithmetic, but gives the same
-# bits only if that C code does not fuse the multiply and add (FMA); how
-# numpy was built decides that.  Fused and unfused rounding differ on this
-# probe box, so one fixed probe at import picks the path.
-_PROBE_LOWER = np.linspace(-3.0, 2.0, 16)
-_PROBE_UPPER = _PROBE_LOWER + np.linspace(0.1, 7.3, 16)
-
-
-def _spelled_out_uniform(lower: np.ndarray, width: np.ndarray, rng: np.random.Generator, shape) -> np.ndarray:
-    return lower + width * rng.random(shape)
-
-
-def _spelled_out_uniform_is_exact() -> bool:
-    ours, theirs = np.random.default_rng(0), np.random.default_rng(0)
-    got = _spelled_out_uniform(_PROBE_LOWER, _PROBE_UPPER - _PROBE_LOWER, ours, _PROBE_LOWER.shape)
-    return got.tobytes() == theirs.uniform(_PROBE_LOWER, _PROBE_UPPER).tobytes()
-
-
-_SPELLED_OUT_UNIFORM_IS_EXACT = _spelled_out_uniform_is_exact()
-
-
 def random_sample(net: Network, rng: np.random.Generator) -> np.ndarray:
-    """One point, each coordinate uniform over its input-box interval.
-
-    The same bits and stream as ``rng.uniform(net.input_lower,
-    net.input_upper)``, at a fraction of its cost where numpy's build
-    allows.
-    """
+    """One point, each coordinate uniform over its input-box interval."""
     return _uniform_points(net, rng, net.input_size)
 
 
 def _uniform_points(net: Network, rng: np.random.Generator, shape) -> np.ndarray:
-    """Uniform coordinates of ``shape``, the last axis being the input's.
+    """``lower + width * u`` with ``u`` from ``rng.random(shape)``, the last
+    axis being the input's.
 
-    Both paths take one double per coordinate in C order, so row ``j`` of
-    a ``(k, input_size)`` block has the bits of the ``j``-th of ``k``
-    single-point draws.
+    NumPy rounds the multiply and the add separately, so the bits are the
+    same on every IEEE-754 build.  One double is taken per coordinate in C
+    order: row ``j`` of a ``(k, input_size)`` block has the bits of the
+    ``j``-th of ``k`` single-point draws.
     """
-    if _SPELLED_OUT_UNIFORM_IS_EXACT:
-        return _spelled_out_uniform(net.input_lower, net._input_width, rng, shape)
-    return rng.uniform(net.input_lower, net.input_upper, size=shape)
+    return net.input_lower + net._input_width * rng.random(shape)
 
 
 def draw_sample_set(net: Network, rng: np.random.Generator, size: int = DEFAULT_SAMPLE_SET_SIZE) -> np.ndarray:
@@ -161,13 +132,17 @@ def make_threshold_state(net: Network, rng: np.random.Generator, config: Seeding
 
     The average strategy can produce a non-positive bar when margins are
     heavy-tailed; fall back to the sample minimum so escalation still has
-    a workable base.
+    a workable base.  Raises ``ValueError`` when the bar is not finite
+    (a single-output net's margins are all infinite; overflowing outputs
+    give NaN), since no draw could qualify against it.
     """
     cfg = config or SeedingConfig()
     samples = draw_sample_set(net, rng, cfg.sample_set_size)
     value = compute_threshold(net, samples, cfg.threshold_strategy)
     if value <= 0.0:
         value = float(margin_batch(net, samples).min())
+    if not math.isfinite(value):
+        raise ValueError(f"seed threshold must be finite, got {value!r}")
     return ThresholdState(threshold=value, col_num=cfg.col_num)
 
 
@@ -177,16 +152,16 @@ def generate_seed(
     """Sample until a point's margin falls below the threshold.
 
     After strictly more than ``col_num`` consecutive misses the threshold
-    is multiplied by 1.1 and the streak resets.  The escalated threshold
-    stays in ``state`` for subsequent calls.  Raises
-    ``SeedSearchExhausted`` after ``MAX_SEED_SAMPLES`` draws.
+    is multiplied by 1.1 and the streak resets; each call starts a fresh
+    streak.  The escalated threshold stays in ``state`` for subsequent
+    calls.  Raises ``SeedSearchExhausted`` after ``MAX_SEED_SAMPLES`` draws.
 
     Candidates are drawn in blocks but judged one by one, and on a hit
     the stream is rewound to just past the accepted one: the seed,
     ``state`` and ``rng`` end exactly as with one draw per candidate.
     """
-    if not state.threshold > 0.0:
-        raise ValueError("threshold must be positive")
+    if not 0.0 < state.threshold < math.inf:
+        raise ValueError("threshold must be positive and finite")
     if state.col_num < 1:
         raise ValueError("col_num must be positive")
     # The loop runs on locals; ``finally`` writes them back, so however
@@ -209,18 +184,15 @@ def generate_seed(
                     collisions = 0
                 drawn += 1
                 if _row_gap(_layer_values(layers, x)) < threshold:
-                    collisions = 0
                     rng.bit_generator.state = start
                     rng.random((j + 1) * d)
                     return x.copy(), state
                 collisions += 1
-        collisions = 0
         raise SeedSearchExhausted(
             f"no sample with margin below {threshold!r} in {MAX_SEED_SAMPLES} draws"
         )
     finally:
-        state.threshold, state.collisions = threshold, collisions
-        state.escalations, state.samples_drawn = escalations, drawn
+        state.threshold, state.escalations, state.samples_drawn = threshold, escalations, drawn
 
 
 def select_lowest_margin(net: Network, points, count: int) -> np.ndarray:

@@ -230,19 +230,17 @@ def reference_generate_seed(net, state, rng):
         raise ValueError("threshold must be positive")
     if state.col_num < 1:
         raise ValueError("col_num must be positive")
-    state.collisions = 0
+    collisions = 0
     for _ in range(seeding.MAX_SEED_SAMPLES):
-        if state.collisions > state.col_num:
+        if collisions > state.col_num:
             state.threshold *= seeding.ESCALATION_FACTOR
             state.escalations += 1
-            state.collisions = 0
+            collisions = 0
         x = random_sample(net, rng)
         state.samples_drawn += 1
         if margin(net, x) < state.threshold:
-            state.collisions = 0
             return x, state
-        state.collisions += 1
-    state.collisions = 0
+        collisions += 1
     raise SeedSearchExhausted(
         f"no sample with margin below {state.threshold!r} in {seeding.MAX_SEED_SAMPLES} draws"
     )

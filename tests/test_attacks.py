@@ -5,17 +5,19 @@ from hypothesis import given, settings, strategies as st
 from achilles import (
     AttackConfig,
     attack,
+    attacks,
     classify,
+    draw_sample_set,
     export_seed_list,
     fgsm_step,
     gradient,
     lipschitz_bound,
     random_network,
+    random_sample,
     run_attack_campaign,
 )
 from achilles.seeding import SeedingConfig
 from helpers import (
-    constant_margin_net,
     dominate_class,
     flip_net,
     reference_attack,
@@ -186,17 +188,21 @@ class TestCampaign:
         assert a.rate == b.rate
         assert all(np.array_equal(x, y) for x, y in zip(a.seeds, b.seeds))
 
-    def test_degrades_to_random_when_no_weak_seed_exists(self):
-        # Single-output head: margins are infinite, the weak-seed bar can
-        # never accept, so selection "b" silently falls back to random
-        # samples and the campaign still completes.
-        net = constant_margin_net(gap=1.0)
-        result = run_attack_campaign(
-            net, 5, AttackConfig(eps=0.1, epo=1), "b", 0,
-            SeedingConfig(sample_set_size=20, col_num=10),
-        )
+    def test_degrades_to_random_when_no_weak_seed_exists(self, monkeypatch):
+        # Single-output head: margins are infinite, so no finite seed
+        # threshold exists; selection "b" falls back to random samples
+        # without searching for a seed, and the campaign still completes.
+        def no_search(*args):
+            raise AssertionError("generate_seed called")
+
+        monkeypatch.setattr(attacks, "generate_seed", no_search)
+        net = random_network([2, 4, 1], 3)
+        seeding = SeedingConfig(sample_set_size=20, col_num=10)
+        result = run_attack_campaign(net, 5, AttackConfig(eps=0.1, epo=1), "b", 0, seeding)
         assert result.attempts == 5
-        assert result.rate == 0.0
+        rng = np.random.default_rng(0)
+        draw_sample_set(net, rng, seeding.sample_set_size)
+        assert result.seeds.tolist() == [random_sample(net, rng).tolist() for _ in range(5)]
 
     def test_input_validation(self):
         net = zero_net()

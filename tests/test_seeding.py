@@ -55,48 +55,43 @@ class TestRandomSample:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_equals_generator_uniform(self, bounds, seed):
-        # Whichever path the import-time probe picked, both samplers must
-        # give Generator.uniform's bits and leave the stream in its state.
+        # Generator.uniform's formula, low + (high - low) * random(), with
+        # each operation rounded on its own as Python floats round it: both
+        # samplers must give these bits and leave the stream in its state.
         lower = [lo for lo, _ in bounds]
         upper = [lo + width for lo, width in bounds]
         net = net_from_lists(
             [np.zeros((2, len(bounds))), np.zeros((2, 2))], [[0, 0], [0, 0]], lower, upper
         )
-        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+
+        def reference_point():
+            return [lo + (hi - lo) * twin.random() for lo, hi in zip(lower, upper)]
+
         for _ in range(5):
-            got = random_sample(net, ours)
-            want = reference.uniform(net.input_lower, net.input_upper)
-            assert got.tobytes() == want.tobytes()
+            assert random_sample(net, ours).tobytes() == np.array(reference_point()).tobytes()
         got = draw_sample_set(net, ours, 7)
-        want = reference.uniform(net.input_lower, net.input_upper, size=(7, len(bounds)))
-        assert got.tobytes() == want.tobytes()
-        assert ours.bit_generator.state == reference.bit_generator.state
+        assert got.tobytes() == np.array([reference_point() for _ in range(7)]).tobytes()
+        assert ours.bit_generator.state == twin.bit_generator.state
 
-    def test_probe_picks_path_by_uniform_rounding(self):
-        # Generator.uniform rounds low + width * r once where numpy's build
-        # fuses the multiply and add, and twice where it does not.  The
-        # probe box tells the two apart, and the spelled-out path must be
-        # picked exactly where uniform rounds twice.
-        lower = seeding._PROBE_LOWER.tolist()
-        upper = seeding._PROBE_UPPER.tolist()
-        r = np.random.default_rng(0).random(len(lower)).tolist()
-        once, twice = [], []
-        for lo, hi, u in zip(lower, upper, r):
-            w = hi - lo
-            once.append(float(Fraction(lo) + Fraction(w) * Fraction(u)))
-            twice.append(lo + w * u)
-        assert once != twice
-        uniform = np.random.default_rng(0).uniform(lower, upper).tolist()
-        assert seeding._SPELLED_OUT_UNIFORM_IS_EXACT == (uniform == twice)
-
-    def test_fallback_is_generator_uniform(self, monkeypatch):
-        monkeypatch.setattr(seeding, "_SPELLED_OUT_UNIFORM_IS_EXACT", False)
-        net = zero_net(lower=-2.0, upper=3.0)
-        ours, reference = np.random.default_rng(3), np.random.default_rng(3)
-        for _ in range(3):
-            want = reference.uniform(net.input_lower, net.input_upper)
-            assert random_sample(net, ours).tobytes() == want.tobytes()
-        assert ours.bit_generator.state == reference.bit_generator.state
+    def test_stream_is_pinned(self):
+        # The bits of lower + width * u from a fixed generator, on every
+        # IEEE-754 build.  A multiply and add fused into one rounding
+        # gives other bits for half of these coordinates.
+        net = zero_net(sizes=(3, 2, 2), lower=-2.0, upper=3.0)
+        rng = np.random.default_rng(8)
+        point = random_sample(net, rng)
+        block = draw_sample_set(net, rng, 3)
+        pinned = [
+            "-0x1.75e6e5c99be88p-2", "0x1.77db702196156p+1", "-0x1.a033546c7ab68p-2",
+            "0x1.f157b71d36902p+0", "0x1.2cbbd82f996d4p+1", "-0x1.6d2a9438449c0p-5",
+            "0x1.83e90eb6f2190p-3", "-0x1.170d1d9074470p-3", "-0x1.7719720ccc9cbp+0",
+            "0x1.944d999eda668p-2", "-0x1.9623754c6b1dep-1", "-0x1.6db54a3782d50p-1",
+        ]
+        assert [float(v).hex() for v in (*point, *block.ravel())] == pinned
+        u = np.random.default_rng(8).random(12).tolist()
+        fused = [float(Fraction(-2.0) + Fraction(5.0) * Fraction(v)).hex() for v in u]
+        assert sum(a != b for a, b in zip(fused, pinned)) == 6
 
     def test_law_of_large_numbers(self):
         net = zero_net(sizes=(1, 2, 2))
@@ -166,11 +161,19 @@ class TestGenerateSeed:
         assert state.threshold == expected
         assert margin(net, x) < state.threshold
 
-    def test_collisions_reset_between_calls(self):
+    def test_collisions_reset_between_calls(self, monkeypatch):
+        # The first call gives up after 4 misses, one more than col_num
+        # allows; a streak carried into the second call would escalate
+        # before its first draw.
+        monkeypatch.setattr(seeding, "MAX_SEED_SAMPLES", 4)
         net = constant_margin_net(gap=1.0)
-        state = ThresholdState(threshold=0.9, col_num=5)
-        _, state = generate_seed(net, state, np.random.default_rng(0))
-        assert state.collisions == 0
+        state = ThresholdState(threshold=0.5, col_num=3)
+        rng = np.random.default_rng(0)
+        for _ in range(2):
+            with pytest.raises(SeedSearchExhausted):
+                generate_seed(net, state, rng)
+        assert state.escalations == 0
+        assert state.samples_drawn == 8
 
     def test_escalated_threshold_persists(self):
         net = constant_margin_net(gap=1.0)
@@ -208,16 +211,29 @@ class TestGenerateSeed:
 
     def test_nan_threshold_is_rejected_before_sampling(self):
         # Finite weights whose outputs overflow to inf - inf give NaN
-        # margins, so the threshold state starts at NaN; no draw can beat
-        # it and the search must not spend its sampling cap finding that out.
+        # margins, so no finite bar exists; no draw can beat a NaN or
+        # infinite one and the search must not spend its sampling cap
+        # finding that out.
         net = net_from_lists([[[1e200]], [[1e200], [1e200]]], [[0.0], [0.0, 0.0]], [0.0], [1.0])
-        rng = np.random.default_rng(0)
         with np.errstate(over="ignore", invalid="ignore"):
-            state = make_threshold_state(net, rng)
-        assert np.isnan(state.threshold)
-        with pytest.raises(ValueError, match="threshold"):
-            generate_seed(net, state, rng)
-        assert state.samples_drawn == 0
+            with pytest.raises(ValueError, match="finite"):
+                make_threshold_state(net, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        for bar in (np.nan, np.inf):
+            state = ThresholdState(threshold=bar)
+            with pytest.raises(ValueError, match="threshold"):
+                generate_seed(net, state, rng)
+            assert state.samples_drawn == 0
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("strategy", ["minimum", "average"])
+    def test_single_output_net_has_no_threshold(self, strategy):
+        # Every margin of a single-output net is infinite: the minimum is
+        # inf and the average inf - inf = NaN.
+        net = random_network([2, 4, 1], 9)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            make_threshold_state(net, np.random.default_rng(0), SeedingConfig(threshold_strategy=strategy))
 
     def test_gives_up_at_sampling_cap(self, monkeypatch):
         # A cap that ends inside a block: exactly cap draws, and the
@@ -232,7 +248,6 @@ class TestGenerateSeed:
         with pytest.raises(SeedSearchExhausted):
             generate_seed(net, state, rng)
         assert state.samples_drawn == cap
-        assert state.collisions == 0
         reference = np.random.default_rng(0)
         reference.random(cap * net.input_size)
         assert rng.random(16).tobytes() == reference.random(16).tobytes()
@@ -246,7 +261,7 @@ def _seed_search_trace(search, net, state, rng, calls):
             trace.append(search(net, state, rng)[0].tobytes())
         except SeedSearchExhausted:
             trace.append("exhausted")
-        trace.append((state.threshold, state.escalations, state.samples_drawn, state.collisions))
+        trace.append((state.threshold, state.escalations, state.samples_drawn))
     trace.append(rng.random(16).tobytes())
     return trace
 
@@ -262,30 +277,35 @@ class TestBlockedSeedSearch:
         col_num=st.integers(1, 2 * seeding._BLOCK + 3),
         bar=st.floats(0.02, 2.0),
         calls=st.integers(1, 4),
-        spelled_out=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_per_draw_reference(self, sizes, block, col_num, bar, calls, spelled_out, seed):
+    def test_matches_per_draw_reference(self, sizes, block, col_num, bar, calls, seed):
         # Small blocks put hits, escalations and block ends at every row
-        # offset; col_num runs below and above the block size.
+        # offset; col_num runs below and above the block size.  A
+        # single-output net has no finite bar to start from; every margin
+        # misses a fixed one, which runs the search to its cap.
         net = random_network(sizes, seed, weight_scale=3.0)
-        start = make_threshold_state(net, np.random.default_rng(seed), SeedingConfig(50, col_num))
-        start.threshold *= bar
+        if net.output_size == 1:
+            start = ThresholdState(threshold=bar, col_num=col_num)
+        else:
+            start = make_threshold_state(net, np.random.default_rng(seed), SeedingConfig(50, col_num))
+            start.threshold *= bar
         assume(start.threshold > 0.0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(seeding, "_BLOCK", block)
             mp.setattr(seeding, "MAX_SEED_SAMPLES", 1500)
-            mp.setattr(seeding, "_SPELLED_OUT_UNIFORM_IS_EXACT", spelled_out)
             got = _seed_search_trace(generate_seed, net, replace(start), np.random.default_rng(seed), calls)
             want = _seed_search_trace(reference_generate_seed, net, replace(start), np.random.default_rng(seed), calls)
         assert got == want
 
-    @pytest.mark.parametrize("spelled_out", [True, False])
+    @pytest.mark.parametrize("again", [True, False])
     @pytest.mark.parametrize("row", [seeding._BLOCK - 1, seeding._BLOCK])
-    def test_hit_at_the_end_and_start_of_a_block(self, monkeypatch, row, spelled_out):
+    def test_hit_at_the_end_and_start_of_a_block(self, monkeypatch, row, again):
         # ramp_net's margin at x is x, so a bar just above draw `row`
-        # accepts exactly that draw when it is the lowest so far.
-        monkeypatch.setattr(seeding, "_SPELLED_OUT_UNIFORM_IS_EXACT", spelled_out)
+        # accepts exactly that draw when it is the lowest so far.  With
+        # `again`, a second call resumes just past the accepted draw and
+        # runs on to its own hit or to a cap two blocks and more away.
+        monkeypatch.setattr(seeding, "MAX_SEED_SAMPLES", 2 * seeding._BLOCK + 5)
         net = ramp_net()
         seed = next(
             s for s in range(10_000)
@@ -293,8 +313,9 @@ class TestBlockedSeedSearch:
         )
         draws = np.random.default_rng(seed).uniform(0.0, 2.0, row + 1)
         start = ThresholdState(threshold=float(np.nextafter(draws[row], np.inf)), col_num=10**6)
-        got = _seed_search_trace(generate_seed, net, replace(start), np.random.default_rng(seed), 1)
-        want = _seed_search_trace(reference_generate_seed, net, replace(start), np.random.default_rng(seed), 1)
+        calls = 2 if again else 1
+        got = _seed_search_trace(generate_seed, net, replace(start), np.random.default_rng(seed), calls)
+        want = _seed_search_trace(reference_generate_seed, net, replace(start), np.random.default_rng(seed), calls)
         assert got == want
         assert got[1][2] == row + 1
 
