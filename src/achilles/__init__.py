@@ -33,13 +33,11 @@ from .harness import (
 from .nn import (
     Network,
     NetworkFormatError,
-    OutputProfile,
     ball_region,
     classify,
     classify_batch,
     format_float,
     format_network,
-    forward,
     forward_batch,
     gradient,
     lipschitz_bound,
@@ -64,22 +62,14 @@ from .seeding import (
     select_lowest_margin,
 )
 from .verifier import (
-    ExternalQuery,
     GridOutcome,
     GridResult,
-    QueryFormatError,
     Verdict,
     VerdictKind,
     VerificationQuery,
-    WitnessValidationError,
     check_witness,
-    export_query,
-    export_witness,
     grid_oracle,
-    import_query,
-    import_witness,
     interval_bounds,
-    validate_witness,
     verify_local_robustness,
 )
 

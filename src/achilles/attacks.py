@@ -138,7 +138,7 @@ def run_attack_campaign(
     for i in range(n_inputs):
         if state is not None:
             try:
-                x, _ = generate_seed(net, state, rng)
+                x = generate_seed(net, state, rng)
             except (ValueError, SeedSearchExhausted):
                 x = random_sample(net, rng)
         else:

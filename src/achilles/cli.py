@@ -22,7 +22,7 @@ from .attacks import AttackConfig, export_seed_list, run_attack_campaign
 from .harness import CampaignSpec, Mode, ReportFormatError, report_write, run_campaign
 from .nn import NetworkFormatError, format_float, load_network, random_network, save_network
 from .seeding import SeedingConfig
-from .verifier import GridOutcome, QueryFormatError, VerificationQuery, grid_oracle
+from .verifier import GridOutcome, VerificationQuery, grid_oracle
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -200,7 +200,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (NetworkFormatError, ReportFormatError, QueryFormatError, OSError) as exc:
+    except (NetworkFormatError, ReportFormatError, OSError) as exc:
         print(f"achilles: {exc}", file=sys.stderr)
         return DATA_ERROR
     except ValueError as exc:

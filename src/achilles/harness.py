@@ -176,7 +176,7 @@ def run_query(
         if mode.boosted:
             if threshold_state is None:
                 raise ValueError(f"mode {mode.value} needs a threshold state")
-            seed, _ = generate_seed(net, threshold_state, rng)
+            seed = generate_seed(net, threshold_state, rng)
         else:
             seed = random_sample(net, rng)
         seed_tuple = tuple(float(v) for v in seed)

@@ -21,13 +21,11 @@ import numpy as np
 __all__ = [
     "Network",
     "NetworkFormatError",
-    "OutputProfile",
     "ball_region",
     "classify",
     "classify_batch",
     "format_float",
     "format_network",
-    "forward",
     "forward_batch",
     "gradient",
     "lipschitz_bound",
@@ -66,15 +64,13 @@ class Network:
 
     ``weights[k]`` has shape ``(layer_sizes[k+1], layer_sizes[k])`` and
     ``biases[k]`` has length ``layer_sizes[k+1]``.  ``input_lower`` and
-    ``input_upper`` bound the valid input box per dimension.  ``labels``
-    optionally names the output categories.
+    ``input_upper`` bound the valid input box per dimension.
     """
 
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
     input_lower: np.ndarray
     input_upper: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         weights = tuple(_frozen_array(w) for w in self.weights)
@@ -85,8 +81,6 @@ class Network:
         object.__setattr__(self, "biases", biases)
         object.__setattr__(self, "input_lower", lower)
         object.__setattr__(self, "input_upper", upper)
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         self._validate()
         # The single-point layer plan: (w, b, ReLU floor) per layer, no floor
         # on the output layer.  A zero array as the floor costs np.maximum
@@ -138,10 +132,6 @@ class Network:
         # Kept, read-only, so random_sample need not subtract per draw.
         width.setflags(write=False)
         object.__setattr__(self, "_input_width", width)
-        if self.labels is not None and len(self.labels) != self.output_size:
-            raise ValueError(
-                f"{len(self.labels)} labels given for {self.output_size} outputs"
-            )
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
@@ -154,10 +144,6 @@ class Network:
     @property
     def output_size(self) -> int:
         return self.weights[-1].shape[0]
-
-    @property
-    def hidden_layer_count(self) -> int:
-        return len(self.weights) - 1
 
     def contains(self, x) -> bool:
         """True when ``x`` lies inside the input box."""
@@ -173,21 +159,11 @@ class Network:
             and all(np.array_equal(a, b) for a, b in zip(self.biases, other.biases))
             and np.array_equal(self.input_lower, other.input_lower)
             and np.array_equal(self.input_upper, other.input_upper)
-            and self.labels == other.labels
         )
 
     def __repr__(self) -> str:
         shape = "-".join(str(s) for s in self.layer_sizes)
         return f"Network({shape})"
-
-
-@dataclass(frozen=True, eq=False)
-class OutputProfile:
-    """Output values of one evaluation plus the derived label and margin."""
-
-    values: np.ndarray
-    top_label: int
-    margin: float
 
 
 def _as_input(net: Network, x) -> np.ndarray:
@@ -275,15 +251,6 @@ def top_gap(values: np.ndarray) -> np.ndarray:
     # less than ``[..., k]`` on the per-sample path of ``margin``.
     part = np.partition(values, -2).T
     return part[-1] - part[-2]
-
-
-def forward(net: Network, x) -> OutputProfile:
-    """Evaluate the network at one point."""
-    values = _point_values(net, x)
-    values.setflags(write=False)
-    return OutputProfile(
-        values=values, top_label=int(np.argmax(values)), margin=float(top_gap(values))
-    )
 
 
 def _row_gap(values: np.ndarray) -> float:
@@ -400,7 +367,6 @@ def random_network(
     weight_scale: float = 1.0,
     bias_scale: float = 0.05,
     input_bounds: tuple[float, float] = (0.0, 1.0),
-    labels=None,
 ) -> Network:
     """Generate a network with Gaussian weights for synthetic test suites.
 
@@ -422,7 +388,6 @@ def random_network(
         biases=tuple(biases),
         input_lower=np.full(sizes[0], float(low)),
         input_upper=np.full(sizes[0], float(high)),
-        labels=labels,
     )
 
 
@@ -446,16 +411,7 @@ def format_float(x: float) -> str:
 
 
 def format_network(net: Network) -> str:
-    """The canonical text form of ``net``.
-
-    The format has no labels line, so a labelled net is refused rather
-    than saved without its labels.
-    """
-    if net.labels is not None:
-        raise ValueError(
-            f"relunet v1 cannot store output labels {list(net.labels)}; "
-            "drop the labels before saving"
-        )
+    """The canonical text form of ``net``."""
     lines = [FILE_HEADER]
     lines.append(" ".join(str(s) for s in net.layer_sizes))
     lines.append(" ".join(format_float(v) for v in net.input_lower))

@@ -123,7 +123,10 @@ def compute_threshold(net: Network, samples, strategy: str = "minimum") -> float
     if strategy == "minimum":
         return float(margins.min())
     if strategy == "average":
-        return float(margins.mean() - margins.std())
+        # Infinite margins (a single-output net) give a NaN bar, which
+        # make_threshold_state refuses; numpy need not warn on the way.
+        with np.errstate(invalid="ignore"):
+            return float(margins.mean() - margins.std())
     raise ValueError(f"unknown threshold strategy {strategy!r}")
 
 
@@ -148,7 +151,7 @@ def make_threshold_state(net: Network, rng: np.random.Generator, config: Seeding
 
 def generate_seed(
     net: Network, state: ThresholdState, rng: np.random.Generator
-) -> tuple[np.ndarray, ThresholdState]:
+) -> np.ndarray:
     """Sample until a point's margin falls below the threshold.
 
     After strictly more than ``col_num`` consecutive misses the threshold
@@ -186,7 +189,7 @@ def generate_seed(
                 if _row_gap(_layer_values(layers, x)) < threshold:
                     rng.bit_generator.state = start
                     rng.random((j + 1) * d)
-                    return x.copy(), state
+                    return x.copy()
                 collisions += 1
         raise SeedSearchExhausted(
             f"no sample with margin below {threshold!r} in {MAX_SEED_SAMPLES} draws"

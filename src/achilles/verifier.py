@@ -4,8 +4,7 @@ Decides whether every point within an L-inf ball around a seed keeps the
 seed's label.  Sound interval bounds are pushed through the layers; a
 branch-and-bound loop splits the input region until each piece is either
 certified robust or yields a concrete misclassified point.  A brute-force
-grid oracle (for tiny nets) and a text interchange format for driving
-external verifiers round out the module.
+grid oracle for tiny nets cross-checks the verdicts.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .nn import (
     Network,
     classify,
     classify_batch,
-    format_float,
     forward_batch,
     lipschitz_bound,
     perturbation_region,
@@ -31,23 +29,15 @@ from .nn import (
 
 __all__ = [
     "BUDGET",
-    "ExternalQuery",
     "GridOutcome",
     "GridResult",
     "PRECISION",
-    "QueryFormatError",
     "VerdictKind",
     "Verdict",
     "VerificationQuery",
-    "WitnessValidationError",
     "check_witness",
-    "export_query",
-    "export_witness",
     "grid_oracle",
-    "import_query",
-    "import_witness",
     "interval_bounds",
-    "validate_witness",
     "verify_local_robustness",
 ]
 
@@ -70,14 +60,6 @@ class GridOutcome(Enum):
     SAT = "sat"
     UNSAT = "unsat"
     INCONCLUSIVE = "inconclusive"
-
-
-class QueryFormatError(ValueError):
-    """Raised when interchange text cannot be parsed."""
-
-
-class WitnessValidationError(ValueError):
-    """Raised when an imported witness fails re-validation."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,14 +109,6 @@ class Verdict:
     boxes_explored: int = 0
     max_depth: int = 0
     wall_time: float = 0.0
-
-    @property
-    def is_sat(self) -> bool:
-        return self.kind is VerdictKind.SAT
-
-    @property
-    def is_unsat(self) -> bool:
-        return self.kind is VerdictKind.UNSAT
 
 
 def _propagate(layers, lo, hi):
@@ -362,96 +336,3 @@ def grid_oracle(net: Network, query: VerificationQuery, spacing: float) -> GridR
     if robust_everywhere:
         return GridResult(GridOutcome.UNSAT)
     return GridResult(GridOutcome.INCONCLUSIVE)
-
-
-# ---------------------------------------------------------------------------
-# External verifier boundary: queries out, witnesses in.
-# ---------------------------------------------------------------------------
-
-QUERY_HEADER = "query v1"
-WITNESS_HEADER = "witness v1"
-
-
-@dataclass(frozen=True)
-class ExternalQuery:
-    """The on-the-wire fields of a query handed to an external tool."""
-
-    net_path: str
-    x0: tuple[float, ...]
-    delta: float
-    label0: int
-
-    @classmethod
-    def from_query(cls, query: VerificationQuery, net_path: str) -> "ExternalQuery":
-        return cls(
-            net_path=str(net_path),
-            x0=tuple(float(v) for v in query.x0),
-            delta=float(query.delta),
-            label0=int(query.label0),
-        )
-
-    def to_query(self, **kwargs) -> VerificationQuery:
-        return VerificationQuery(
-            x0=np.array(self.x0), delta=self.delta, label0=self.label0, **kwargs
-        )
-
-
-def export_query(query: VerificationQuery, net_path: str) -> str:
-    """Serialize a query for an external complete verifier."""
-    lines = [
-        QUERY_HEADER,
-        f"net {net_path}",
-        "x0 " + " ".join(format_float(v) for v in query.x0),
-        f"delta {format_float(query.delta)}",
-        f"label {int(query.label0)}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _fields(text: str, header: str) -> list[str]:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != header:
-        raise QueryFormatError(f"expected {header!r} header")
-    return lines[1:]
-
-
-def import_query(text: str) -> ExternalQuery:
-    """Parse the query interchange format back into its fields."""
-    fields: dict[str, str] = {}
-    for line in _fields(text, QUERY_HEADER):
-        key, _, rest = line.partition(" ")
-        fields[key] = rest.strip()
-    try:
-        return ExternalQuery(
-            net_path=fields["net"],
-            x0=tuple(float(v) for v in fields["x0"].split()),
-            delta=float(fields["delta"]),
-            label0=int(fields["label"]),
-        )
-    except (KeyError, ValueError) as exc:
-        raise QueryFormatError(f"malformed query: {exc}") from None
-
-
-def export_witness(point) -> str:
-    point = np.asarray(point, dtype=np.float64)
-    return WITNESS_HEADER + "\nx " + " ".join(format_float(v) for v in point) + "\n"
-
-
-def import_witness(text: str) -> np.ndarray:
-    lines = _fields(text, WITNESS_HEADER)
-    if not lines or not lines[0].startswith("x "):
-        raise QueryFormatError("witness file must carry an 'x' line")
-    try:
-        return np.array([float(v) for v in lines[0][2:].split()])
-    except ValueError as exc:
-        raise QueryFormatError(f"malformed witness: {exc}") from None
-
-
-def validate_witness(net: Network, query: VerificationQuery, point) -> Verdict:
-    """Accept an externally produced witness only after re-validation."""
-    point = np.asarray(point, dtype=np.float64)
-    if not check_witness(net, query, point):
-        raise WitnessValidationError(
-            "witness rejected: not a counter-example for this query"
-        )
-    return Verdict(kind=VerdictKind.SAT, witness=point)

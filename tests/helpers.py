@@ -72,13 +72,12 @@ def fd_gradient(net, x, target, h=1e-6):
     return grad
 
 
-def net_from_lists(weights, biases, lower, upper, labels=None):
+def net_from_lists(weights, biases, lower, upper):
     return Network(
         weights=tuple(np.array(w, dtype=np.float64) for w in weights),
         biases=tuple(np.array(b, dtype=np.float64) for b in biases),
         input_lower=np.array(lower, dtype=np.float64),
         input_upper=np.array(upper, dtype=np.float64),
-        labels=labels,
     )
 
 
@@ -239,7 +238,7 @@ def reference_generate_seed(net, state, rng):
         x = random_sample(net, rng)
         state.samples_drawn += 1
         if margin(net, x) < state.threshold:
-            return x, state
+            return x
         collisions += 1
     raise SeedSearchExhausted(
         f"no sample with margin below {state.threshold!r} in {seeding.MAX_SEED_SAMPLES} draws"

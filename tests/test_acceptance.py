@@ -227,7 +227,7 @@ class TestCriterion4:
             rng = np.random.default_rng(4400 + i)
             random_margins = margin_batch(net, draw_sample_set(net, rng, 200))
             state = make_threshold_state(net, rng, SeedingConfig(sample_set_size=500, col_num=200))
-            weak = np.stack([generate_seed(net, state, rng)[0] for _ in range(200)])
+            weak = np.stack([generate_seed(net, state, rng) for _ in range(200)])
             weak_margins = margin_batch(net, weak)
             test = stats.mannwhitneyu(weak_margins, random_margins, alternative="less")
             ok = test.pvalue < 0.01 and weak_margins.mean() < random_margins.mean()

@@ -116,17 +116,19 @@ class TestVerify:
     def test_single_output_net_is_usage_error(self, tmp_path, capsys):
         # Every margin of a single-output net is infinite, so weak seeding
         # has no finite threshold and must refuse at once instead of
-        # drawing its sampling cap for each run.
+        # drawing its sampling cap for each run, under either strategy.
         net = tmp_path / "one.relunet"
         assert main(["gen-net", "--shape", "2,4,1", "--out", str(net)]) == 0
-        code = main(
-            [
-                "verify", "--net", str(net), "--mode", "bg", "--delta", "0.1",
-                "--find", "1", "--out", str(tmp_path / "r"),
-            ]
-        )
-        assert code == 1
-        assert "seed threshold must be finite" in capsys.readouterr().err
+        capsys.readouterr()
+        for strategy in ("minimum", "average"):
+            code = main(
+                [
+                    "verify", "--net", str(net), "--mode", "bg", "--delta", "0.1",
+                    "--find", "1", "--strategy", strategy, "--out", str(tmp_path / strategy),
+                ]
+            )
+            assert code == 1, strategy
+            assert "seed threshold must be finite" in capsys.readouterr().err, strategy
 
     def test_missing_net_file_is_data_error(self, tmp_path, capsys):
         code = main(

@@ -10,7 +10,6 @@ from achilles import (
     classify,
     classify_batch,
     format_network,
-    forward,
     forward_batch,
     gradient,
     lipschitz_bound,
@@ -72,16 +71,6 @@ class TestNetworkInvariants:
         with pytest.raises(ValueError, match="widths must be finite"):
             net_from_lists([[[1.0]], [[1.0]]], [[0.0], [0.0]], [-1e308], [1e308])
 
-    def test_labels_length(self):
-        with pytest.raises(ValueError, match="labels"):
-            net_from_lists(
-                [[[1.0]], [[1.0], [1.0]]],
-                [[0.0], [0.0, 0.0]],
-                [0.0],
-                [1.0],
-                labels=("a",),
-            )
-
     def test_immutability(self):
         net = zero_net()
         with pytest.raises(ValueError):
@@ -133,19 +122,6 @@ class TestLoader:
         assert format_network(parse_network(text)) == text
         assert parse_network(text) == net
 
-    def test_labelled_net_is_refused(self, tmp_path):
-        # relunet v1 has no labels line, so saving would drop them.
-        net = net_from_lists(
-            [[[1.0]], [[1.0], [-1.0]]], [[0.0], [0.0, 1.0]], [0.0], [1.0],
-            labels=("cat", "dog"),
-        )
-        with pytest.raises(ValueError, match="labels.*cat"):
-            format_network(net)
-        path = tmp_path / "net.relunet"
-        with pytest.raises(ValueError, match="labels.*cat"):
-            save_network(net, path)
-        assert not path.exists()
-
     def test_save_load_path(self, tmp_path):
         net = random_network([2, 4, 2], 3)
         path = tmp_path / "net.relunet"
@@ -166,37 +142,38 @@ class TestLoader:
             [b.tolist() for b in loaded.biases],
             x,
         )
-        got = forward(loaded, x).values
+        got = nn._point_values(loaded, x)
         assert np.allclose(got, [float(v) for v in expected], rtol=0, atol=1e-9)
 
 
 class TestForward:
     def test_zero_net_all_outputs_zero(self):
         net = zero_net()
-        prof = forward(net, [0.3, 0.9])
-        assert np.array_equal(prof.values, [0.0, 0.0])
-        assert prof.margin == 0.0
-        assert prof.top_label == 0
+        x = [0.3, 0.9]
+        assert np.array_equal(nn._point_values(net, x), [0.0, 0.0])
+        assert margin(net, x) == 0.0
+        assert classify(net, x) == 0
 
     def test_relu_definition(self):
         net = net_from_lists(
             [[[1.0]], [[1.0]]], [[0.0], [0.0]], [-5.0], [5.0]
         )
-        assert forward(net, [-3.0]).values[0] == 0.0
-        assert forward(net, [2.0]).values[0] == 2.0
+        assert nn._point_values(net, [-3.0])[0] == 0.0
+        assert nn._point_values(net, [2.0])[0] == 2.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            forward(zero_net(), [0.1, 0.2, 0.3])
+        for evaluate in (nn._point_values, margin, classify):
+            with pytest.raises(ValueError, match="shape"):
+                evaluate(zero_net(), [0.1, 0.2, 0.3])
 
     def test_seeded_net_matches_frozen_oracle_values(self):
         # Expected values computed once with the exact rational evaluator.
         net = random_network([2, 3, 3, 2], 42, input_bounds=(-1.0, 1.0))
-        prof = forward(net, [0.5, -0.5])
+        x = [0.5, -0.5]
         expected = (0.029475129883272205, 0.017409806080998888)
-        assert np.allclose(prof.values, expected, rtol=0, atol=1e-12)
-        assert prof.top_label == 0
-        assert abs(prof.margin - 0.012065323802273315) < 1e-12
+        assert np.allclose(nn._point_values(net, x), expected, rtol=0, atol=1e-12)
+        assert classify(net, x) == 0
+        assert abs(margin(net, x) - 0.012065323802273315) < 1e-12
 
     def test_batch_matches_single(self):
         # BLAS may round differently for different batch sizes; agreement
@@ -206,7 +183,7 @@ class TestForward:
         xs = rng.uniform(0, 1, size=(20, 3))
         batch = forward_batch(net, xs)
         for i, x in enumerate(xs):
-            assert np.allclose(batch[i], forward(net, x).values, rtol=0, atol=1e-12)
+            assert np.allclose(batch[i], nn._point_values(net, x), rtol=0, atol=1e-12)
 
 
 class TestMargin:
@@ -236,8 +213,8 @@ class TestMargin:
     def test_gap_of_a_batch_equals_each_row_margin(self, inputs, outputs, rows, seed):
         net = random_network([inputs, 6, outputs], seed)
         xs = np.random.default_rng(seed).uniform(0, 1, size=(rows, inputs))
-        values = np.stack([forward(net, x).values for x in xs])
-        expected = [forward(net, x).margin for x in xs]
+        values = np.stack([nn._point_values(net, x) for x in xs])
+        expected = [margin(net, x) for x in xs]
         assert top_gap(values).tolist() == expected
 
     @settings(max_examples=100, deadline=None)
@@ -263,10 +240,10 @@ class TestMargin:
             )
         for x in np.random.default_rng(seed).uniform(-1, 2, size=(10, inputs)):
             row = forward_batch(net, x[np.newaxis])[0]
-            profile = forward(net, x)
-            assert profile.values.tobytes() == row.tobytes()
-            assert repr(margin(net, x)) == repr(profile.margin) == repr(float(top_gap(row)))
-            assert classify(net, x) == profile.top_label == int(np.argmax(row))
+            values = nn._point_values(net, x)
+            assert values.tobytes() == row.tobytes()
+            assert repr(margin(net, x)) == repr(float(top_gap(values))) == repr(float(top_gap(row)))
+            assert classify(net, x) == int(np.argmax(values)) == int(np.argmax(row))
             views = {
                 "block row": np.stack([x, x, x])[1],
                 "F-order row": np.asfortranarray(np.stack([x, x, x]))[1],
@@ -275,7 +252,7 @@ class TestMargin:
             }
             for name, view in views.items():
                 assert np.array_equal(view, x), name
-                assert forward(net, view).values.tobytes() == row.tobytes(), name
+                assert nn._point_values(net, view).tobytes() == row.tobytes(), name
                 assert forward_batch(net, view[np.newaxis])[0].tobytes() == row.tobytes(), name
 
     def test_sampled_margins_match_rational_oracle(self):

@@ -141,7 +141,7 @@ class TestGenerateSeed:
         net = ramp_net(lower=0.0, upper=1.0)  # margins within [0, 1]
         state = ThresholdState(threshold=5.0, col_num=10)
         rng = np.random.default_rng(1)
-        x, state = generate_seed(net, state, rng)
+        x = generate_seed(net, state, rng)
         assert state.samples_drawn == 1
         assert state.escalations == 0
         assert margin(net, x) < state.threshold
@@ -152,7 +152,7 @@ class TestGenerateSeed:
         # escalation (0.5 * 1.1^8 > 1) is accepted.
         net = constant_margin_net(gap=1.0)
         state = ThresholdState(threshold=0.5, col_num=3)
-        x, state = generate_seed(net, state, np.random.default_rng(0))
+        x = generate_seed(net, state, np.random.default_rng(0))
         assert state.escalations == 8
         assert state.samples_drawn == 8 * 4 + 1
         expected = 0.5
@@ -179,9 +179,9 @@ class TestGenerateSeed:
         net = constant_margin_net(gap=1.0)
         state = ThresholdState(threshold=0.5, col_num=3)
         rng = np.random.default_rng(0)
-        _, state = generate_seed(net, state, rng)
+        generate_seed(net, state, rng)
         after_first = state.threshold
-        _, state = generate_seed(net, state, rng)
+        generate_seed(net, state, rng)
         # The bar is already above the constant margin: no new escalation.
         assert state.threshold == after_first
         assert state.escalations == 8
@@ -191,7 +191,7 @@ class TestGenerateSeed:
         rng = np.random.default_rng(77)
         state = make_threshold_state(net, rng)
         for _ in range(25):
-            x, state = generate_seed(net, state, rng)
+            x = generate_seed(net, state, rng)
             assert margin(net, x) < state.threshold
 
     def test_determinism(self):
@@ -200,7 +200,7 @@ class TestGenerateSeed:
         def one_run():
             rng = np.random.default_rng(5)
             state = ThresholdState(threshold=0.05, col_num=50)
-            return [generate_seed(net, state, rng)[0] for _ in range(5)]
+            return [generate_seed(net, state, rng) for _ in range(5)]
 
         first, second = one_run(), one_run()
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
@@ -232,7 +232,7 @@ class TestGenerateSeed:
         # Every margin of a single-output net is infinite: the minimum is
         # inf and the average inf - inf = NaN.
         net = random_network([2, 4, 1], 9)
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="finite"):
             make_threshold_state(net, np.random.default_rng(0), SeedingConfig(threshold_strategy=strategy))
 
     def test_gives_up_at_sampling_cap(self, monkeypatch):
@@ -258,7 +258,7 @@ def _seed_search_trace(search, net, state, rng, calls):
     trace = []
     for _ in range(calls):
         try:
-            trace.append(search(net, state, rng)[0].tobytes())
+            trace.append(search(net, state, rng).tobytes())
         except SeedSearchExhausted:
             trace.append("exhausted")
         trace.append((state.threshold, state.escalations, state.samples_drawn))
@@ -388,7 +388,7 @@ class TestDistributionEffect:
         rng = np.random.default_rng(2001)
         random_margins = margin_batch(net, draw_sample_set(net, rng, 200))
         state = make_threshold_state(net, rng, SeedingConfig(col_num=200))
-        weak = [generate_seed(net, state, rng)[0] for _ in range(200)]
+        weak = [generate_seed(net, state, rng) for _ in range(200)]
         weak_margins = margin_batch(net, np.stack(weak))
         assert weak_margins.mean() < random_margins.mean()
         result = stats.mannwhitneyu(weak_margins, random_margins, alternative="less")

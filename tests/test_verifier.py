@@ -2,27 +2,19 @@ import numpy as np
 import pytest
 
 from achilles import (
-    ExternalQuery,
     GridOutcome,
-    QueryFormatError,
     VerdictKind,
     VerificationQuery,
-    WitnessValidationError,
     check_witness,
     classify,
     classify_batch,
-    export_query,
-    export_witness,
-    forward,
     forward_batch,
     grid_oracle,
-    import_query,
-    import_witness,
     interval_bounds,
     lipschitz_bound,
     margin,
+    nn,
     random_network,
-    validate_witness,
     verify_local_robustness,
 )
 from helpers import flip_net, net_from_lists, zero_net
@@ -33,7 +25,7 @@ class TestIntervalBounds:
         net = random_network([2, 5, 3], 44)
         x = np.array([0.3, 0.8])
         lo, hi = interval_bounds(net, x, x)
-        values = forward(net, x).values
+        values = nn._point_values(net, x)
         assert np.allclose(lo, values, rtol=1e-9, atol=1e-12)
         assert np.allclose(hi, values, rtol=1e-9, atol=1e-12)
         assert (lo <= hi).all()
@@ -235,48 +227,20 @@ class TestGridOracle:
             grid_oracle(net, query, spacing=0.0)
 
 
-class TestExternalBoundary:
-    def test_query_round_trip(self):
-        query = VerificationQuery(x0=np.array([0.4, 0.7]), delta=0.125, label0=1)
-        wire = ExternalQuery.from_query(query, "nets/a.relunet")
-        assert import_query(export_query(query, "nets/a.relunet")) == wire
-        rebuilt = wire.to_query(time_budget=5.0)
-        assert np.array_equal(rebuilt.x0, query.x0)
-        assert rebuilt.delta == query.delta
-        assert rebuilt.label0 == query.label0
-
-    def test_imported_nan_x0_rejected(self):
-        wire = import_query("query v1\nnet a\nx0 nan 0.5\ndelta 0.1\nlabel 0\n")
-        with pytest.raises(ValueError, match="x0 must be finite"):
-            wire.to_query()
-
-    def test_witness_round_trip(self):
-        point = np.array([0.52, 0.13])
-        assert np.array_equal(import_witness(export_witness(point)), point)
-
-    def test_validation_gate_rejects_non_flip(self):
+class TestCheckWitness:
+    def test_accepts_a_flip_inside_the_ball(self):
         net = flip_net()
         query = VerificationQuery.for_point(net, [0.4], 0.2)
-        with pytest.raises(WitnessValidationError):
-            validate_witness(net, query, [0.45])  # still label 1
+        assert check_witness(net, query, [0.55])
+        assert classify(net, [0.55]) == 0
 
-    def test_validation_gate_rejects_distant_point(self):
+    def test_rejects_non_flip(self):
+        net = flip_net()
+        query = VerificationQuery.for_point(net, [0.4], 0.2)
+        assert not check_witness(net, query, [0.45])  # still label 1
+
+    def test_rejects_distant_point(self):
         net = flip_net()
         query = VerificationQuery.for_point(net, [0.2], 0.1)
-        with pytest.raises(WitnessValidationError):
-            validate_witness(net, query, [0.8])  # flips, but outside the ball
-
-    def test_hand_written_witness_accepted(self):
-        net = flip_net()
-        query = VerificationQuery.for_point(net, [0.4], 0.2)
-        verdict = validate_witness(net, query, import_witness("witness v1\nx 0.55\n"))
-        assert verdict.kind is VerdictKind.SAT
-        assert classify(net, verdict.witness) == 0
-
-    def test_malformed_inputs(self):
-        with pytest.raises(QueryFormatError):
-            import_query("query v2\n")
-        with pytest.raises(QueryFormatError):
-            import_query("query v1\nnet a\nx0 nope\ndelta 0.1\nlabel 0\n")
-        with pytest.raises(QueryFormatError):
-            import_witness("witness v1\ny 1 2\n")
+        assert classify(net, [0.8]) != query.label0
+        assert not check_witness(net, query, [0.8])  # flips, but outside the ball
