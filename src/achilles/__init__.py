@@ -16,7 +16,7 @@ from .attacks import (
     fgsm_step,
     run_attack_campaign,
 )
-from .greedy import GreedyConfig, SearchOutcome, gen_neighbors, greedy_search
+from .greedy import SearchOutcome, gen_neighbors, greedy_search
 from .harness import (
     CampaignReport,
     CampaignSpec,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -95,10 +96,11 @@ def _cmd_verify(args) -> int:
             threshold_strategy=args.strategy,
         ),
     )
-    out = Path(args.out)
     if args.repeats < 1:
         raise ValueError("--repeats must be positive")
     net = load_network(spec.net_path)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # fail before the campaign, not after
     summaries = []
     for i in range(args.repeats):
         report = run_campaign(replace(spec, rng_seed=spec.rng_seed + i), net=net)
@@ -124,7 +126,6 @@ def _cmd_verify(args) -> int:
             key: float(np.mean([s[key] for s in summaries]))
             for key in ("runs", "sat_total", "sat_by_greedy", "rate", "wall_time_s")
         }
-        out.mkdir(parents=True, exist_ok=True)
         with open(out / "summary.json", "w", encoding="utf-8") as handle:
             json.dump({"repeats": summaries, "mean": mean}, handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -137,15 +138,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_attack(args) -> int:
     net = load_network(args.net)
-    result = run_attack_campaign(
-        net,
-        args.inputs,
-        AttackConfig(eps=args.eps, epo=args.epo),
-        args.selection,
-        args.seed,
-    )
-    if args.seeds_out:
-        Path(args.seeds_out).write_text(export_seed_list(result.seeds), encoding="utf-8")
+    config = AttackConfig(eps=args.eps, epo=args.epo)
+    # Opened before the campaign, so an unwritable path fails at once.
+    sink = open(args.seeds_out, "w", encoding="utf-8") if args.seeds_out else nullcontext()
+    with sink as seeds_out:
+        result = run_attack_campaign(net, args.inputs, config, args.selection, args.seed)
+        if seeds_out is not None:
+            seeds_out.write(export_seed_list(result.seeds))
     print(
         f"selection={result.selection} attempts={result.attempts} "
         f"successes={result.successes} rate={result.rate:.4f}"

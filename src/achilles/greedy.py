@@ -17,32 +17,12 @@ import numpy as np
 
 from .nn import Network, ball_region, classify, forward_batch, perturbation_region, top_gap
 
-__all__ = ["GreedyConfig", "SearchOutcome", "gen_neighbors", "greedy_search"]
+__all__ = ["SearchOutcome", "gen_neighbors", "greedy_search"]
 
 
-@dataclass(frozen=True)
-class GreedyConfig:
-    """Step-width schedule of the greedy search."""
-
-    l_max: float
-    l_min: float
-    max_iterations: int = 10_000
-    record_trace: bool = False
-
-    def __post_init__(self):
-        if not (math.isfinite(self.l_max) and self.l_max > 0):
-            raise ValueError("l_max must be positive and finite")
-        if not (math.isfinite(self.l_min) and self.l_min > 0):
-            raise ValueError("l_min must be positive and finite")
-        if self.l_min >= self.l_max:
-            raise ValueError("l_min must be smaller than l_max")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-
-    @classmethod
-    def for_radius(cls, radius: float, **kwargs) -> "GreedyConfig":
-        """Defaults for a query ball: start at the radius, stop at radius/1024."""
-        return cls(l_max=radius, l_min=radius / 1024.0, **kwargs)
+# Every improving round keeps the step, so this cap is what bounds a
+# search whose margin keeps falling.
+_MAX_ITERATIONS = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,27 +58,30 @@ def gen_neighbors(x, step: float, x0, delta: float, lower, upper) -> list[np.nda
     return _axis_moves(x, step, lo, hi)
 
 
-def greedy_search(net: Network, x0, delta: float, config: GreedyConfig | None = None) -> SearchOutcome:
+def greedy_search(net: Network, x0, delta: float, *, record_trace: bool = False) -> SearchOutcome:
     """Descend the margin around ``x0`` looking for a label flip.
 
-    The flip test is always against the seed's original label, and every
-    candidate stays within ``delta`` of ``x0``, so a returned point is a
-    genuine counter-example for the query.  Fully deterministic.
+    The first step is ``delta / 2``; a round without improvement halves
+    it, and the search gives up once it falls below ``delta / 1024`` or
+    after 10,000 rounds.  The flip test is always against the seed's
+    original label, and every candidate stays within ``delta`` of
+    ``x0``, so a returned point is a genuine counter-example for the
+    query.  Fully deterministic.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    cfg = config or GreedyConfig.for_radius(delta)
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError("delta must be positive and finite")
     x0 = np.asarray(x0, dtype=np.float64)
     label0 = classify(net, x0)
     lo, hi = perturbation_region(net, x0, delta)
 
     x = x0.copy()
     current = float(top_gap(forward_batch(net, x[np.newaxis, :]))[0])
-    step = cfg.l_max / 2.0
+    step = delta / 2.0
+    floor = delta / 1024.0
     iterations = 0
-    trace: list[tuple[float, float]] | None = [] if cfg.record_trace else None
+    trace: list[tuple[float, float]] | None = [] if record_trace else None
 
-    while step >= cfg.l_min and iterations < cfg.max_iterations:
+    while step >= floor and iterations < _MAX_ITERATIONS:
         iterations += 1
         candidates = _axis_moves(x, step, lo, hi)
         moved = False

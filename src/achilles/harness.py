@@ -23,7 +23,7 @@ from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
-from .greedy import GreedyConfig, greedy_search
+from .greedy import greedy_search
 from .nn import Network, classify, load_network, margin
 from .seeding import SeedingConfig, ThresholdState, generate_seed, make_threshold_state, random_sample
 from .verifier import VerificationQuery, check_witness, verify_local_robustness
@@ -80,8 +80,6 @@ class CampaignSpec:
     per_query_timeout: float = 60.0
     rng_seed: int = 0
     seeding: SeedingConfig = field(default_factory=SeedingConfig)
-    greedy_config: GreedyConfig | None = None
-    min_box_width: float | None = None
 
     def __post_init__(self):
         if isinstance(self.mode, str):
@@ -155,9 +153,7 @@ def run_query(
     rng: np.random.Generator,
     index: int = 0,
     threshold_state: ThresholdState | None = None,
-    greedy_config: GreedyConfig | None = None,
     per_query_timeout: float = 60.0,
-    min_box_width: float | None = None,
 ) -> RunRecord:
     """Seed, optionally pre-search, then verify; errors land in the record.
 
@@ -184,8 +180,7 @@ def run_query(
 
         decided = False
         if mode.greedy:
-            cfg = greedy_config or GreedyConfig.for_radius(delta)
-            found = greedy_search(net, seed, delta, cfg)
+            found = greedy_search(net, seed, delta)
             if found.found:
                 outcome = "sat"
                 greedy_found = True
@@ -197,7 +192,6 @@ def run_query(
                 delta=delta,
                 label0=classify(net, seed),
                 time_budget=per_query_timeout,
-                min_box_width=min_box_width,
             )
             verdict = verify_local_robustness(net, query)
             outcome = verdict.kind.value
@@ -232,7 +226,6 @@ def run_campaign(spec: CampaignSpec, net: Network | None = None) -> CampaignRepo
     threshold_state = None
     if spec.mode.boosted:
         threshold_state = make_threshold_state(net, rng, spec.seeding)
-    greedy_cfg = spec.greedy_config or GreedyConfig.for_radius(spec.delta)
 
     records: list[RunRecord] = []
     sat_total = 0
@@ -250,9 +243,7 @@ def run_campaign(spec: CampaignSpec, net: Network | None = None) -> CampaignRepo
             rng=rng,
             index=index,
             threshold_state=threshold_state,
-            greedy_config=greedy_cfg,
             per_query_timeout=spec.per_query_timeout,
-            min_box_width=spec.min_box_width,
         )
         records.append(record)
         if record.outcome == "sat":
@@ -283,9 +274,7 @@ def _config_echo(spec: CampaignSpec) -> dict:
         "time_budget": spec.time_budget,
         "target_counterexamples": spec.target_counterexamples,
         "per_query_timeout": spec.per_query_timeout,
-        "min_box_width": spec.min_box_width,
         "seeding": asdict(spec.seeding),
-        "greedy": asdict(spec.greedy_config) if spec.greedy_config is not None else None,
     }
 
 

@@ -503,17 +503,9 @@ def parse_network(text: str) -> Network:
     )
 
 
-def load_network(source) -> Network:
-    """Load a network from a path, file object, text or bytes."""
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, (str, Path)) and "\n" not in str(source):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    return parse_network(text)
+def load_network(path) -> Network:
+    """Load a network from a ``relunet v1`` file."""
+    return parse_network(Path(path).read_text(encoding="utf-8"))
 
 
 def save_network(net: Network, target) -> None:

@@ -45,6 +45,11 @@ __all__ = [
 BUDGET = "budget"
 PRECISION = "precision"
 
+# Completeness is traded away below this box width, as a share of delta:
+# a box narrower than delta * _PRECISION_FLOOR in every dimension is not
+# split again, and the query ends UNKNOWN(precision) if no witness turns up.
+_PRECISION_FLOOR = 1e-4
+
 # Boxes with more dimensions get a random subset of corners probed.
 _EXHAUSTIVE_CORNER_DIMS = 8
 _SAMPLED_CORNERS = 2**_EXHAUSTIVE_CORNER_DIMS
@@ -71,7 +76,6 @@ class VerificationQuery:
     delta: float
     label0: int
     time_budget: float = 60.0
-    min_box_width: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=np.float64))
@@ -83,19 +87,12 @@ class VerificationQuery:
             raise ValueError("delta must be positive and finite")
         if not self.time_budget > 0:
             raise ValueError("time_budget must be positive")
-        if self.min_box_width is not None and self.min_box_width <= 0:
-            raise ValueError("min_box_width must be positive")
 
     @classmethod
     def for_point(cls, net: Network, x0, delta: float, **kwargs) -> "VerificationQuery":
         """Build a query with the label taken from the network itself."""
         return cls(x0=np.asarray(x0, dtype=np.float64), delta=delta,
                    label0=classify(net, x0), **kwargs)
-
-    @property
-    def resolved_min_box_width(self) -> float:
-        # Completeness is traded away below this width, by design.
-        return self.min_box_width if self.min_box_width is not None else self.delta * 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +192,7 @@ def verify_local_robustness(net: Network, query: VerificationQuery) -> Verdict:
     * SAT with a re-validated witness,
     * UNSAT once the whole region is covered by certified boxes,
     * UNKNOWN(``precision``) when uncertified boxes shrank below
-      ``min_box_width`` in every dimension without yielding a witness,
+      ``delta * 1e-4`` in every dimension without yielding a witness,
     * UNKNOWN(``budget``) when the time budget ran out.
     """
     start = time.perf_counter()
@@ -205,7 +202,7 @@ def verify_local_robustness(net: Network, query: VerificationQuery) -> Verdict:
             f"query label {query.label0} is not the network's label for x0"
         )
     lo, hi = perturbation_region(net, query.x0, query.delta)
-    min_width = query.resolved_min_box_width
+    min_width = query.delta * _PRECISION_FLOOR
     layers = net._interval_layers
     rng = np.random.default_rng(0)  # fixed corner sample: verdicts are reproducible
 
@@ -281,6 +278,9 @@ class GridResult:
 
 _MAX_ORACLE_DIMS = 3
 _GRID_CHUNK = 1 << 16
+# The grid is built in memory at 48 bytes a point (three coordinate
+# arrays and their stacked copy), so this cap keeps it near 200 MB.
+_MAX_GRID_POINTS = 1 << 22
 
 
 def grid_oracle(net: Network, query: VerificationQuery, spacing: float) -> GridResult:
@@ -292,8 +292,9 @@ def grid_oracle(net: Network, query: VerificationQuery, spacing: float) -> GridR
     spacing (at most ``spacing``) and ``L`` the certified Lipschitz
     bound -- the entire region is provably robust and the result is
     UNSAT.  Otherwise INCONCLUSIVE.  Guarded to at most 3 input
-    dimensions.
+    dimensions and 2**22 grid points.
     """
+    spacing = float(spacing)
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError("grid spacing must be positive and finite")
     if net.input_size > _MAX_ORACLE_DIMS:
@@ -305,15 +306,22 @@ def grid_oracle(net: Network, query: VerificationQuery, spacing: float) -> GridR
             f"query label {query.label0} is not the network's label for x0"
         )
     lo, hi = perturbation_region(net, query.x0, query.delta)
+    widths = (hi - lo).tolist()
+    # In Python floats a tiny spacing gives an infinite ratio, not a numpy
+    # overflow warning, and the clamp counts it as too many points.
+    counts = [
+        1 if width == 0.0 else math.ceil(min(width / spacing, _MAX_GRID_POINTS)) + 1
+        for width in widths
+    ]
+    if math.prod(counts) > _MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid spacing {spacing!r} needs more than {_MAX_GRID_POINTS} grid points"
+        )
     axes = []
     realized = 0.0
-    for low, high in zip(lo, hi):
-        width = high - low
-        if width == 0.0:
-            axes.append(np.array([low]))
-        else:
-            n = int(math.ceil(width / spacing)) + 1
-            axes.append(np.linspace(low, high, n))
+    for low, high, width, n in zip(lo, hi, widths, counts):
+        axes.append(np.linspace(low, high, n))
+        if n > 1:
             realized = max(realized, width / (n - 1))
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)

@@ -13,7 +13,6 @@ import numpy as np
 import achilles.seeding as seeding
 from achilles import (
     AttackResult,
-    GreedyConfig,
     Network,
     SearchOutcome,
     SeedSearchExhausted,
@@ -168,23 +167,24 @@ def _row_margin(values):
     return float(part[-1] - part[-2])
 
 
-def reference_greedy_search(net, x0, delta, config=None):
+def reference_greedy_search(net, x0, delta, record_trace=False):
     """Per-candidate loop version of ``greedy_search``.
 
     Scores the candidates of each round one row at a time: the first
     label flip in scan order returns at once, otherwise the candidate with
     the smallest margin (first on ties) is taken when strictly below the
-    current margin.
+    current margin.  The step starts at delta / 2 and halves after each
+    round without a move; the search gives up below delta / 1024 or after
+    10,000 rounds.
     """
-    cfg = config or GreedyConfig.for_radius(delta)
     x0 = np.asarray(x0, dtype=np.float64)
     label0 = classify(net, x0)
     x = x0.copy()
     current = _row_margin(forward_batch(net, x[np.newaxis, :])[0])
-    step = cfg.l_max / 2.0
+    step = delta / 2.0
     iterations = 0
-    trace = [] if cfg.record_trace else None
-    while step >= cfg.l_min and iterations < cfg.max_iterations:
+    trace = [] if record_trace else None
+    while step >= delta / 1024.0 and iterations < 10_000:
         iterations += 1
         candidates = gen_neighbors(x, step, x0, delta, net.input_lower, net.input_upper)
         best = None

@@ -16,7 +16,6 @@ from scipy import stats
 
 from achilles import (
     CampaignSpec,
-    GreedyConfig,
     GridOutcome,
     Mode,
     SeedingConfig,
@@ -199,9 +198,7 @@ class TestCriterion3:
             for _ in range(50):
                 x0 = rng.uniform(0, 1, size=2)
                 delta = float(rng.uniform(0.02, 0.2))
-                outcome = greedy_search(
-                    net, x0, delta, GreedyConfig.for_radius(delta, record_trace=True)
-                )
+                outcome = greedy_search(net, x0, delta, record_trace=True)
                 searches += 1
                 if outcome.found:
                     found += 1

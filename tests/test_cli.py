@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import achilles
-from achilles import load_network, save_network
+from achilles import cli, load_network, save_network
 from achilles.cli import main
 from helpers import flip_net
 
@@ -150,6 +150,23 @@ class TestVerify:
         )
         assert code == 2
 
+    def test_unwritable_out_fails_before_the_campaign(
+        self, flip_net_path, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "run_campaign", lambda *args, **kwargs: calls.append(args))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = main(
+            [
+                "verify", "--net", flip_net_path, "--mode", "r", "--delta", "0.1",
+                "--budget", "3", "--out", str(taken),
+            ]
+        )
+        assert code == 2
+        assert calls == []
+        assert "File exists" in capsys.readouterr().err
+
     def test_oversized_layer_is_data_error(self, tmp_path, capsys):
         # Four lines that declare 10**11 hidden neurons: parsing must run out
         # of rows instead of allocating the layer.
@@ -185,6 +202,24 @@ class TestAttack:
         lines = seeds_file.read_text().strip().splitlines()
         assert len(lines) == 5
 
+    def test_unwritable_seeds_out_fails_before_the_campaign(
+        self, flip_net_path, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(
+            cli, "run_attack_campaign", lambda *args, **kwargs: calls.append(args)
+        )
+        code = main(
+            [
+                "attack", "--net", flip_net_path, "--selection", "r",
+                "--eps", "0.1", "--epo", "2", "--inputs", "3000",
+                "--seeds-out", str(tmp_path / "missing" / "s.txt"),
+            ]
+        )
+        assert code == 2
+        assert calls == []
+        assert "No such file or directory" in capsys.readouterr().err
+
 
 class TestOracle:
     def test_sat_on_flip_net(self, flip_net_path, capsys):
@@ -214,6 +249,19 @@ class TestOracle:
         )
         assert code == 1
         assert "spacing must be positive and finite" in capsys.readouterr().err
+
+    def test_oversized_grid_is_usage_error(self, tmp_path, capsys):
+        # Spacing 1e-6 over a 0.5-wide 3-D region is 500001**3 points.
+        net_path = tmp_path / "net.relunet"
+        save_network(achilles.random_network([3, 4, 2], 1), net_path)
+        code = main(
+            [
+                "oracle", "--net", str(net_path), "--delta", "0.25",
+                "--x0", "0.5", "0.5", "0.5", "--spacing", "1e-6",
+            ]
+        )
+        assert code == 1
+        assert "grid points" in capsys.readouterr().err
 
     def test_nan_x0_is_usage_error(self, tmp_path, capsys):
         net_path = tmp_path / "net.relunet"

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from achilles import (
-    GreedyConfig,
     VerdictKind,
     VerificationQuery,
     check_witness,
@@ -58,11 +57,10 @@ class TestGenNeighbors:
 
 class TestGreedySearch:
     def test_flat_margin_gives_up_after_exact_halvings(self):
-        # Margin is constant, so no neighbor ever improves:
-        # ceil(log2(l_max / l_min)) = 10 rounds, never moving.
+        # Margin is constant, so no neighbor ever improves: the step
+        # halves from delta / 2 down to delta / 1024, 10 rounds, never moving.
         net = constant_margin_net(gap=1.0, n_inputs=2)
-        cfg = GreedyConfig.for_radius(0.1, record_trace=True)
-        out = greedy_search(net, [0.5, 0.5], 0.1, cfg)
+        out = greedy_search(net, [0.5, 0.5], 0.1, record_trace=True)
         assert not out.found
         assert out.iterations == 10
         steps = [row[0] for row in out.trace]
@@ -75,7 +73,7 @@ class TestGreedySearch:
         # inside the ball is impossible; the search may still descend.
         base = random_network([2, 6, 2], 10)
         net = dominate_class(base, target_margin=1.0)
-        out = greedy_search(net, [0.5, 0.5], 0.1, GreedyConfig.for_radius(0.1, record_trace=True))
+        out = greedy_search(net, [0.5, 0.5], 0.1, record_trace=True)
         assert not out.found
         assert_valid_trace(out.trace)
 
@@ -94,9 +92,7 @@ class TestGreedySearch:
         moves = 0
         for _ in range(40):
             x0 = rng.uniform(0, 1, size=2)
-            out = greedy_search(
-                net, x0, 0.05, GreedyConfig.for_radius(0.05, record_trace=True)
-            )
+            out = greedy_search(net, x0, 0.05, record_trace=True)
             moves += assert_valid_trace(out.trace)
         assert moves > 0
 
@@ -133,8 +129,8 @@ class TestGreedySearch:
 
     def test_pure_function(self):
         net = random_network([3, 6, 3], 17)
-        a = greedy_search(net, [0.2, 0.8, 0.5], 0.1, GreedyConfig.for_radius(0.1, record_trace=True))
-        b = greedy_search(net, [0.2, 0.8, 0.5], 0.1, GreedyConfig.for_radius(0.1, record_trace=True))
+        a = greedy_search(net, [0.2, 0.8, 0.5], 0.1, record_trace=True)
+        b = greedy_search(net, [0.2, 0.8, 0.5], 0.1, record_trace=True)
         assert a.iterations == b.iterations
         assert a.trace == b.trace
         if a.found:
@@ -144,6 +140,11 @@ class TestGreedySearch:
         # Ties break toward label 0 everywhere: no flip exists.
         out = greedy_search(zero_net(), [0.5, 0.5], 0.25)
         assert not out.found
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_bad_delta_is_refused(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            greedy_search(flip_net(), [0.4], delta)
 
     def test_final_margin_reported(self):
         net = flip_net()
@@ -167,9 +168,8 @@ class TestAgainstReference:
     ):
         net = random_network([inputs, hidden, outputs], net_seed, weight_scale=scale)
         x0 = np.random.default_rng(point_seed).uniform(0, 1, size=inputs)
-        cfg = GreedyConfig.for_radius(delta, record_trace=True)
-        got = greedy_search(net, x0, delta, cfg)
-        want = reference_greedy_search(net, x0, delta, cfg)
+        got = greedy_search(net, x0, delta, record_trace=True)
+        want = reference_greedy_search(net, x0, delta, record_trace=True)
         assert got.found == want.found
         if want.found:
             assert np.array_equal(got.counter_example, want.counter_example)
@@ -177,20 +177,3 @@ class TestAgainstReference:
         assert got.final_margin == want.final_margin
         assert got.trace == want.trace
 
-
-class TestGreedyConfig:
-    def test_invalid_ordering(self):
-        with pytest.raises(ValueError, match="l_min"):
-            GreedyConfig(l_max=0.1, l_min=0.2)
-
-    def test_for_radius_defaults(self):
-        cfg = GreedyConfig.for_radius(0.5)
-        assert cfg.l_max == 0.5
-        assert cfg.l_min == 0.5 / 1024
-        assert cfg.max_iterations == 10_000
-
-    def test_positivity(self):
-        with pytest.raises(ValueError):
-            GreedyConfig(l_max=-1.0, l_min=0.1)
-        with pytest.raises(ValueError):
-            GreedyConfig(l_max=1.0, l_min=0.0)

@@ -107,9 +107,7 @@ class TestRunQuery:
         net = zero_net()
         rng = np.random.default_rng(0)
         for _ in range(3):
-            record = run_query(
-                net, Mode.R, 0.25, rng=rng, per_query_timeout=0.2, min_box_width=0.2
-            )
+            record = run_query(net, Mode.R, 0.25, rng=rng, per_query_timeout=0.2)
             assert record.outcome in ("unsat", "unknown")
 
     def test_mode_bg_on_flip_net_sat_by_greedy(self):
@@ -125,9 +123,7 @@ class TestRunQuery:
     def test_forced_timeout_records_unknown_budget(self):
         net = zero_net()
         rng = np.random.default_rng(2)
-        record = run_query(
-            net, Mode.R, 0.25, rng=rng, per_query_timeout=0.001, min_box_width=1e-10
-        )
+        record = run_query(net, Mode.R, 0.25, rng=rng, per_query_timeout=0.001)
         assert record.outcome == "unknown"
         assert record.reason == "budget"
 

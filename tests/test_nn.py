@@ -127,7 +127,17 @@ class TestLoader:
         path = tmp_path / "net.relunet"
         save_network(net, path)
         assert load_network(path) == net
-        assert load_network(io.StringIO(format_network(net))) == net
+        buffer = io.StringIO()
+        save_network(net, buffer)
+        assert parse_network(buffer.getvalue()) == net
+
+    def test_load_takes_any_file_name(self, tmp_path):
+        # A name holding a newline is still a path, not network text.
+        net = random_network([2, 4, 2], 3)
+        path = tmp_path / "two\nlines.relunet"
+        save_network(net, path)
+        assert load_network(path) == net
+        assert load_network(str(path)) == net
 
     def test_deep_generated_net_matches_oracle_at_zero(self):
         # 5-50-...-50-5 with six hidden layers; forward at the zero point

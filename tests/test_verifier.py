@@ -102,26 +102,30 @@ class TestVerify:
         # The zero net never certifies (all outputs tie) and never
         # misclassifies; a tiny budget must stop the search.
         net = zero_net()
-        query = VerificationQuery.for_point(
-            net, [0.5, 0.5], 0.25, time_budget=0.05, min_box_width=0.25e-9
-        )
+        query = VerificationQuery.for_point(net, [0.5, 0.5], 0.25, time_budget=0.05)
         verdict = verify_local_robustness(net, query)
         assert verdict.kind is VerdictKind.UNKNOWN
         assert verdict.reason == "budget"
 
     def test_precision_exhaustion(self):
-        net = zero_net()
-        query = VerificationQuery.for_point(
-            net, [0.5, 0.5], 0.25, time_budget=30.0, min_box_width=0.2
+        # Outputs (|x - 0.5|, 0): the tie at x = 0.5 breaks to label 0, so
+        # no counter-example exists, yet every box holding 0.5 has a
+        # certification gap of exactly 0 and is never certified.
+        net = net_from_lists(
+            [[[1.0], [-1.0]], [[1.0, 1.0], [0.0, 0.0]]],
+            [[-0.5, 0.5], [0.0, 0.0]],
+            lower=[0.0],
+            upper=[1.0],
         )
+        query = VerificationQuery.for_point(net, [0.5], 0.25, time_budget=30.0)
         verdict = verify_local_robustness(net, query)
         assert verdict.kind is VerdictKind.UNKNOWN
         assert verdict.reason == "precision"
-        # Monotone progress: the region is 0.5 wide per dimension, so two
-        # halvings per dimension reach the width floor; the tree is small
-        # and the depth bounded accordingly.
-        assert verdict.max_depth <= 4
-        assert verdict.boxes_explored <= 2 ** (2 * 2 + 1)
+        # The region is 0.5 wide; the floor is delta * 1e-4 = 2.5e-5, which
+        # 15 halvings (0.5 / 2**15 ~ 1.5e-5) get under and 14 do not.  Only
+        # the boxes that touch 0.5 split, two per level.
+        assert verdict.max_depth == 15
+        assert verdict.boxes_explored <= 4 * 15 + 1
 
     def test_label_consistency_checked(self):
         net = flip_net()
@@ -219,6 +223,26 @@ class TestGridOracle:
         query = VerificationQuery.for_point(net, [0.5] * 4, 0.1)
         with pytest.raises(ValueError, match="dimensions"):
             grid_oracle(net, query, spacing=0.05)
+
+    @pytest.mark.parametrize(
+        "sizes, spacing",
+        [
+            ((3, 2, 2), 1e-6),  # 500001**3 points
+            ((3, 2, 2), 5e-324),  # the ratio overflows to infinity
+            ((2, 2, 2), 0.5 / 2048),  # 2049**2 points, just past 2**22
+        ],
+    )
+    def test_grid_size_is_capped(self, sizes, spacing):
+        net = zero_net(sizes=sizes)
+        query = VerificationQuery.for_point(net, [0.5] * sizes[0], 0.25)
+        with pytest.raises(ValueError, match="grid points"):
+            grid_oracle(net, query, spacing=spacing)
+
+    def test_cap_admits_the_cli_default_grid(self):
+        # The CLI default spacing delta / 50 gives 101**3 points.
+        net = zero_net(sizes=(3, 2, 2))
+        query = VerificationQuery.for_point(net, [0.5] * 3, 0.25)
+        assert grid_oracle(net, query, spacing=0.25 / 50).outcome is GridOutcome.INCONCLUSIVE
 
     def test_spacing_must_be_positive(self):
         net = flip_net()
