@@ -21,12 +21,15 @@ import numpy as np
 
 from .attacks import AttackConfig, export_seed_list, run_attack_campaign
 from .harness import CampaignSpec, Mode, ReportFormatError, report_write, run_campaign
-from .nn import NetworkFormatError, format_float, load_network, random_network, save_network
+from .nn import NetworkFormatError, format_float, format_network, load_network, random_network, save_network
 from .seeding import SeedingConfig
 from .verifier import GridOutcome, VerificationQuery, grid_oracle
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
+
+# The figures a multi-repeat summary.json gives per repeat and as a mean.
+_REPEAT_KEYS = ("runs", "sat_total", "sat_by_greedy", "rate", "wall_time_s")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,26 +109,14 @@ def _cmd_verify(args) -> int:
         report = run_campaign(replace(spec, rng_seed=spec.rng_seed + i), net=net)
         target = out if args.repeats == 1 else out / f"repeat_{i}"
         report_write(report, target)
-        summaries.append(
-            {
-                "repeat": i,
-                "runs": report.runs,
-                "sat_total": report.sat_total,
-                "sat_by_greedy": report.sat_by_greedy,
-                "rate": report.rate,
-                "wall_time_s": report.wall_time_s,
-            }
-        )
+        summaries.append({"repeat": i} | {key: getattr(report, key) for key in _REPEAT_KEYS})
         print(
             f"repeat {i}: mode={report.mode} runs={report.runs} "
             f"sat={report.sat_total} by_greedy={report.sat_by_greedy} "
             f"rate={report.rate:.4f} wall={report.wall_time_s:.2f}s"
         )
     if args.repeats > 1:
-        mean = {
-            key: float(np.mean([s[key] for s in summaries]))
-            for key in ("runs", "sat_total", "sat_by_greedy", "rate", "wall_time_s")
-        }
+        mean = {key: float(np.mean([s[key] for s in summaries])) for key in _REPEAT_KEYS}
         with open(out / "summary.json", "w", encoding="utf-8") as handle:
             json.dump({"repeats": summaries, "mean": mean}, handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -168,7 +159,7 @@ def _cmd_gen_net(args) -> int:
         save_network(net, args.out)
         print(f"wrote {net!r} to {args.out}")
     else:
-        save_network(net, sys.stdout)
+        sys.stdout.write(format_network(net))
     return 0
 
 

@@ -2,8 +2,8 @@
 
 A campaign repeatedly answers local-robustness queries on one network in
 one of four modes -- random or weak seeds, each with or without the
-greedy pre-search -- until a time budget runs out or enough
-counter-examples are found.  Every run is recorded; reports round-trip
+greedy pre-search -- until a time budget runs out, enough
+counter-examples are found or a find-N campaign reaches its run cap.  Every run is recorded; reports round-trip
 through a CSV of runs plus a JSON summary.
 """
 
@@ -24,7 +24,7 @@ from typing import NamedTuple, get_type_hints
 import numpy as np
 
 from .greedy import greedy_search
-from .nn import Network, classify, load_network, margin
+from .nn import Network, classify, format_float, load_network, margin
 from .seeding import SeedingConfig, ThresholdState, generate_seed, make_threshold_state, random_sample
 from .verifier import VerificationQuery, check_witness, verify_local_robustness
 
@@ -41,6 +41,11 @@ __all__ = [
     "run_campaign",
     "run_query",
 ]
+
+
+# A find-N campaign ends after this many runs per counter-example sought,
+# found or not, so a net with none within delta cannot keep it going.
+_RUNS_PER_TARGET = 100
 
 
 class ReportFormatError(ValueError):
@@ -69,7 +74,8 @@ class CampaignSpec:
     """One campaign: network, mode, radius, stop condition and configs.
 
     Exactly one of ``time_budget`` (seconds) and
-    ``target_counterexamples`` must be set.
+    ``target_counterexamples`` must be set.  A find-N campaign also
+    stops after ``100 * target_counterexamples`` runs.
     """
 
     net_path: str
@@ -229,10 +235,11 @@ def run_campaign(spec: CampaignSpec, net: Network | None = None) -> CampaignRepo
 
     records: list[RunRecord] = []
     sat_total = 0
+    target = spec.target_counterexamples
     started = time.perf_counter()
     index = 0
     while True:
-        if spec.target_counterexamples is not None and sat_total >= spec.target_counterexamples:
+        if target is not None and (sat_total >= target or index >= _RUNS_PER_TARGET * target):
             break
         if spec.time_budget is not None and time.perf_counter() - started >= spec.time_budget:
             break
@@ -300,7 +307,7 @@ def audit_report(net: Network, report: CampaignReport) -> None:
 
 
 def _pack_floats(values) -> str:
-    return " ".join(repr(float(v)) for v in values)
+    return " ".join(format_float(v) for v in values)
 
 
 def _unpack_floats(text: str) -> tuple[float, ...]:
@@ -330,8 +337,8 @@ _COLUMNS = {
     "reason": _Column(str, optional=True),
     "time_ms": _Column(float, wall_clock=True),
 }
-_CELL_FORMATS = {float: repr, _unpack_floats: _pack_floats, _parse_flag: int}
-_DIGEST_FORMATS = {float: repr, _unpack_floats: lambda values: [repr(v) for v in values]}
+_CELL_FORMATS = {float: format_float, _unpack_floats: _pack_floats, _parse_flag: int}
+_DIGEST_FORMATS = {float: format_float, _unpack_floats: lambda values: [format_float(v) for v in values]}
 # summary.json holds every CampaignReport field but the records, and these.
 _AGGREGATES = ("runs", "sat_total", "sat_by_greedy", "rate")
 

@@ -232,10 +232,9 @@ def forward_batch(net: Network, xs) -> np.ndarray:
         raise ValueError(
             f"batch has shape {a.shape}, expected (n, {net.input_size})"
         )
-    last = len(net.weights) - 1
-    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+    for w, b, floor in net._layers:
         a = a @ w.T + b
-        if k != last:
+        if floor is not None:
             a = np.maximum(a, 0.0)
     return a
 
@@ -331,14 +330,11 @@ def ball_region(center, radius: float, lower, upper) -> tuple[np.ndarray, np.nda
     hi = center + radius
     # Rounding may push a bound further than radius from the center;
     # pull it back so distance checks on points at the bound never fail.
-    over = (center - lo) > radius
-    while over.any():
-        lo = np.where(over, np.nextafter(lo, np.inf), lo)
-        over = (center - lo) > radius
-    over = (hi - center) > radius
-    while over.any():
-        hi = np.where(over, np.nextafter(hi, -np.inf), hi)
-        over = (hi - center) > radius
+    for bound in (lo, hi):
+        over = np.abs(bound - center) > radius
+        while over.any():
+            bound[over] = np.nextafter(bound[over], center[over])
+            over = np.abs(bound - center) > radius
     lo = np.maximum(lo, np.asarray(lower, dtype=np.float64))
     hi = np.minimum(hi, np.asarray(upper, dtype=np.float64))
     return lo, hi
@@ -403,11 +399,8 @@ def random_network(
 
 
 def format_float(x: float) -> str:
-    """Text form of a float that parses back to the same float64.
-
-    17 significant digits round-trip any float64 exactly.
-    """
-    return format(float(x), ".17g")
+    """The shortest text that parses back to the same float64."""
+    return repr(float(x))
 
 
 def format_network(net: Network) -> str:
@@ -508,10 +501,6 @@ def load_network(path) -> Network:
     return parse_network(Path(path).read_text(encoding="utf-8"))
 
 
-def save_network(net: Network, target) -> None:
-    """Write a network to a path or file object in canonical form."""
-    text = format_network(net)
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        Path(target).write_text(text, encoding="utf-8")
+def save_network(net: Network, path) -> None:
+    """Write a network to a ``relunet v1`` file in canonical form."""
+    Path(path).write_text(format_network(net), encoding="utf-8")

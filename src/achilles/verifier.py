@@ -180,6 +180,15 @@ def _probe(net, lo, hi, label0, rng):
     return None
 
 
+def _query_region(net: Network, query: VerificationQuery) -> tuple[np.ndarray, np.ndarray]:
+    """The query's box, once ``label0`` is checked to be x0's label."""
+    if classify(net, query.x0) != query.label0:
+        raise ValueError(
+            f"query label {query.label0} is not the network's label for x0"
+        )
+    return perturbation_region(net, query.x0, query.delta)
+
+
 def verify_local_robustness(net: Network, query: VerificationQuery) -> Verdict:
     """Decide a local-robustness query by input-domain branch and bound.
 
@@ -197,11 +206,7 @@ def verify_local_robustness(net: Network, query: VerificationQuery) -> Verdict:
     """
     start = time.perf_counter()
     deadline = start + query.time_budget
-    if classify(net, query.x0) != query.label0:
-        raise ValueError(
-            f"query label {query.label0} is not the network's label for x0"
-        )
-    lo, hi = perturbation_region(net, query.x0, query.delta)
+    lo, hi = _query_region(net, query)
     min_width = query.delta * _PRECISION_FLOOR
     layers = net._interval_layers
     rng = np.random.default_rng(0)  # fixed corner sample: verdicts are reproducible
@@ -216,16 +221,21 @@ def verify_local_robustness(net: Network, query: VerificationQuery) -> Verdict:
             wall_time=time.perf_counter() - start,
         )
 
-    explored = 1
+    explored = 0
     max_depth = 0
     tie = itertools.count()
     heap: list = []
-    root_lo, root_hi = _propagate(layers, lo, hi)
-    gap = _certification_gap(root_lo, root_hi, query.label0)
     precision_exhausted = False
-    if gap <= 0:
-        heapq.heappush(heap, (gap, next(tie), 0, lo, hi))
 
+    def push(box_lo, box_hi, depth):
+        # Only a positive gap certifies the box; a NaN gap keeps it.
+        nonlocal explored
+        explored += 1
+        gap = _certification_gap(*_propagate(layers, box_lo, box_hi), query.label0)
+        if not gap > 0:
+            heapq.heappush(heap, (gap, next(tie), depth, box_lo, box_hi))
+
+    push(lo, hi, 0)
     while heap:
         if time.perf_counter() > deadline:
             return finish(VerdictKind.UNKNOWN, reason=BUDGET)
@@ -244,12 +254,7 @@ def verify_local_robustness(net: Network, query: VerificationQuery) -> Verdict:
         dim = int(np.argmax(widths))
         mid = 0.5 * (box_lo[dim] + box_hi[dim])
         for child_lo, child_hi in _split_box(box_lo, box_hi, dim, mid):
-            child_blo, child_bhi = _propagate(layers, child_lo, child_hi)
-            explored += 1
-            child_gap = _certification_gap(child_blo, child_bhi, query.label0)
-            if child_gap > 0:
-                continue
-            heapq.heappush(heap, (child_gap, next(tie), depth + 1, child_lo, child_hi))
+            push(child_lo, child_hi, depth + 1)
 
     if precision_exhausted:
         return finish(VerdictKind.UNKNOWN, reason=PRECISION)
@@ -301,11 +306,7 @@ def grid_oracle(net: Network, query: VerificationQuery, spacing: float) -> GridR
         raise ValueError(
             f"grid oracle supports at most {_MAX_ORACLE_DIMS} input dimensions"
         )
-    if classify(net, query.x0) != query.label0:
-        raise ValueError(
-            f"query label {query.label0} is not the network's label for x0"
-        )
-    lo, hi = perturbation_region(net, query.x0, query.delta)
+    lo, hi = _query_region(net, query)
     widths = (hi - lo).tolist()
     # In Python floats a tiny spacing gives an infinite ratio, not a numpy
     # overflow warning, and the clamp counts it as too many points.

@@ -23,7 +23,7 @@ from achilles import (
     save_network,
 )
 from achilles import harness
-from helpers import flip_net, zero_net
+from helpers import constant_margin_net, flip_net, zero_net
 
 
 @pytest.fixture
@@ -166,6 +166,17 @@ class TestRunCampaign:
         report = run_campaign(spec)
         assert report.sat_total == 5
         assert report.records[-1].outcome == "sat"
+
+    def test_find_n_stops_after_its_run_cap(self, tmp_path):
+        # The margin is 1 everywhere, so no run can find a counter-example.
+        path = tmp_path / "constant.relunet"
+        save_network(constant_margin_net(), path)
+        spec = CampaignSpec(
+            net_path=str(path), mode=Mode.R, delta=0.1, target_counterexamples=2
+        )
+        report = run_campaign(spec)
+        assert report.runs == 200
+        assert all(r.outcome == "unsat" for r in report.records)
 
     def test_mode_contract_no_greedy_hits_in_r_and_b(self, flip_net_path):
         for mode in (Mode.R, Mode.B):

@@ -1,17 +1,19 @@
-import io
 import math
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from achilles import (
     NetworkFormatError,
     classify,
     classify_batch,
+    format_float,
     format_network,
     forward_batch,
     gradient,
+    harness,
     lipschitz_bound,
     load_network,
     margin,
@@ -127,9 +129,20 @@ class TestLoader:
         path = tmp_path / "net.relunet"
         save_network(net, path)
         assert load_network(path) == net
-        buffer = io.StringIO()
-        save_network(net, buffer)
-        assert parse_network(buffer.getvalue()) == net
+        assert path.read_text(encoding="utf-8") == format_network(net)
+
+    def test_seventeen_digit_literals_still_load(self):
+        # Files once held 17 significant digits, such as 0.10000000000000001
+        # for 0.1; they load to the net that the shortest form gives.
+        net = random_network([3, 5, 2], 4, input_bounds=(-0.1, 0.3))
+        text = format_network(net)
+        old = "\n".join(
+            line if i < 2 else " ".join(format(float(v), ".17g") for v in line.split())
+            for i, line in enumerate(text.splitlines())
+        ) + "\n"
+        assert "-0.10000000000000001" in old and "-0.1 " in text
+        assert parse_network(old) == net
+        assert format_network(parse_network(old)) == text
 
     def test_load_takes_any_file_name(self, tmp_path):
         # A name holding a newline is still a path, not network text.
@@ -154,6 +167,34 @@ class TestLoader:
         )
         got = nn._point_values(loaded, x)
         assert np.allclose(got, [float(v) for v in expected], rtol=0, atol=1e-9)
+
+
+class TestFloatText:
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(-2.225073858507201e-308)
+    @example(1.7976931348623157e308)
+    @example(-1.7976931348623157e308)
+    @example(0.1)
+    def test_shortest_text_round_trips(self, x):
+        assert format_float(x) == repr(x)
+        assert format_float(np.float64(x)) == repr(x)
+        # Through a network file: a weight and a bias of a 1-1-1 net.
+        net = net_from_lists([[[x]], [[x]]], [[x], [x]], [0.0], [1.0])
+        loaded = parse_network(format_network(net))
+        for got, want in zip((*loaded.weights, *loaded.biases), (*net.weights, *net.biases)):
+            assert got.tobytes() == want.tobytes()
+        # Through runs.csv cells: a float column and a point column.
+        record = harness.RunRecord(0, "r", (x, x), x, "sat", False, (x,), None, x)
+        report = harness.CampaignReport(mode="r", delta=0.1, rng_seed=0, net_path="n", records=[record])
+        with tempfile.TemporaryDirectory() as out:
+            harness.report_write(report, out)
+            back = harness.report_read(out).records[0]
+        values = (back.seed_margin, *back.seed, *back.witness, back.time_ms)
+        assert [v.hex() for v in values] == [x.hex()] * 5
 
 
 class TestForward:

@@ -1,7 +1,8 @@
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_library_sketch_runs(capsys):
@@ -10,3 +11,12 @@ def test_library_sketch_runs(capsys):
     exec(compile(blocks[0], str(README), "exec"), {})
     out = capsys.readouterr().out
     assert out.startswith("counter-example:") or out.startswith("VerdictKind.")
+
+
+def test_ci_runs_the_readme_commands_verbatim():
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    commands = [line.strip() for line in workflow.splitlines() if line.strip().startswith("achilles ")]
+    assert len(commands) == 3
+    readme_lines = README.read_text(encoding="utf-8").splitlines()
+    for command in commands:
+        assert command in readme_lines, command

@@ -127,6 +127,25 @@ class TestVerify:
         assert verdict.max_depth == 15
         assert verdict.boxes_explored <= 4 * 15 + 1
 
+    def test_nan_root_bound_is_not_a_certificate(self):
+        # Output 0 is 4t*relu(x) - 4t*relu(x) + relu(x) - 0.95: finite at
+        # every point, but its interval bound is inf - inf = NaN, and the
+        # label flips at x = 0.95.  A NaN gap must keep the box, not
+        # certify it.
+        t = 5.85e307
+        net = net_from_lists(
+            [[[1.0]] * 9, [[t] * 4 + [-t] * 4 + [1.0], [0.0] * 9]],
+            [[0.0] * 9, [-0.95, 0.0]],
+            lower=[0.0],
+            upper=[1.0],
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            query = VerificationQuery.for_point(net, [0.94], 0.05)
+            assert check_witness(net, query, [0.96])
+            verdict = verify_local_robustness(net, query)
+        assert verdict.kind is VerdictKind.SAT
+        assert check_witness(net, query, verdict.witness)
+
     def test_label_consistency_checked(self):
         net = flip_net()
         with pytest.raises(ValueError, match="label"):
