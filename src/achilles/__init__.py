@@ -54,7 +54,6 @@ from .seeding import (
     SeedSearchExhausted,
     SeedingConfig,
     ThresholdState,
-    compute_threshold,
     draw_sample_set,
     generate_seed,
     make_threshold_state,

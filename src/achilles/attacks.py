@@ -100,10 +100,16 @@ class AttackCampaignResult:
     """
 
     selection: str
-    rate: float
     successes: int
-    attempts: int
     seeds: np.ndarray
+
+    @property
+    def attempts(self) -> int:
+        return len(self.seeds)
+
+    @property
+    def rate(self) -> float:
+        return self.successes / self.attempts
 
 
 def run_attack_campaign(
@@ -146,13 +152,7 @@ def run_attack_campaign(
         seeds[i] = x
         if attack(net, x, config).success:
             successes += 1
-    return AttackCampaignResult(
-        selection=selection,
-        rate=successes / n_inputs,
-        successes=successes,
-        attempts=n_inputs,
-        seeds=seeds,
-    )
+    return AttackCampaignResult(selection=selection, successes=successes, seeds=seeds)
 
 
 def export_seed_list(points) -> str:

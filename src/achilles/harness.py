@@ -108,17 +108,21 @@ class CampaignSpec:
 
 @dataclass
 class RunRecord:
-    """One query's worth of campaign accounting."""
+    """One query's worth of campaign accounting.
+
+    The defaults are a run that ended before its seed was drawn: an error
+    with no seed.  ``run_query`` fills the record in as each stage finishes.
+    """
 
     index: int
     mode: str
-    seed: tuple[float, ...]
-    seed_margin: float
-    outcome: str  # sat | unsat | unknown | error
-    greedy_found: bool
-    witness: tuple[float, ...] | None
-    reason: str | None
-    time_ms: float
+    seed: tuple[float, ...] = ()
+    seed_margin: float = math.nan
+    outcome: str = "error"  # sat | unsat | unknown | error
+    greedy_found: bool = False
+    witness: tuple[float, ...] | None = None
+    reason: str | None = None
+    time_ms: float = 0.0
 
 
 @dataclass
@@ -168,12 +172,7 @@ def run_query(
     """
     mode = Mode(mode)
     started = time.perf_counter()
-    seed_tuple: tuple[float, ...] = ()
-    seed_margin = float("nan")
-    outcome = "error"
-    greedy_found = False
-    witness = None
-    reason = None
+    record = RunRecord(index=index, mode=mode.value)
     try:
         if mode.boosted:
             if threshold_state is None:
@@ -181,18 +180,13 @@ def run_query(
             seed = generate_seed(net, threshold_state, rng)
         else:
             seed = random_sample(net, rng)
-        seed_tuple = tuple(float(v) for v in seed)
-        seed_margin = margin(net, seed)
-
-        decided = False
-        if mode.greedy:
-            found = greedy_search(net, seed, delta)
-            if found.found:
-                outcome = "sat"
-                greedy_found = True
-                witness = tuple(float(v) for v in found.counter_example)
-                decided = True
-        if not decided:
+        record.seed = _point(seed)
+        record.seed_margin = margin(net, seed)
+        found = greedy_search(net, seed, delta) if mode.greedy else None
+        if found is not None and found.found:
+            record.outcome, record.greedy_found = "sat", True
+            record.witness = _point(found.counter_example)
+        else:
             query = VerificationQuery(
                 x0=seed,
                 delta=delta,
@@ -200,24 +194,14 @@ def run_query(
                 time_budget=per_query_timeout,
             )
             verdict = verify_local_robustness(net, query)
-            outcome = verdict.kind.value
-            reason = verdict.reason
+            record.outcome, record.reason = verdict.kind.value, verdict.reason
             if verdict.witness is not None:
-                witness = tuple(float(v) for v in verdict.witness)
+                record.witness = _point(verdict.witness)
     except Exception as exc:  # noqa: BLE001 - campaign must survive any run
-        outcome = "error"
-        reason = f"{type(exc).__name__}: {exc}"
-    return RunRecord(
-        index=index,
-        mode=mode.value,
-        seed=seed_tuple,
-        seed_margin=float(seed_margin),
-        outcome=outcome,
-        greedy_found=greedy_found,
-        witness=witness,
-        reason=reason,
-        time_ms=(time.perf_counter() - started) * 1000.0,
-    )
+        record.outcome = "error"
+        record.reason = f"{type(exc).__name__}: {exc}"
+    record.time_ms = (time.perf_counter() - started) * 1000.0
+    return record
 
 
 def run_campaign(spec: CampaignSpec, net: Network | None = None) -> CampaignReport:
@@ -237,9 +221,8 @@ def run_campaign(spec: CampaignSpec, net: Network | None = None) -> CampaignRepo
     sat_total = 0
     target = spec.target_counterexamples
     started = time.perf_counter()
-    index = 0
     while True:
-        if target is not None and (sat_total >= target or index >= _RUNS_PER_TARGET * target):
+        if target is not None and (sat_total >= target or len(records) >= _RUNS_PER_TARGET * target):
             break
         if spec.time_budget is not None and time.perf_counter() - started >= spec.time_budget:
             break
@@ -248,14 +231,13 @@ def run_campaign(spec: CampaignSpec, net: Network | None = None) -> CampaignRepo
             spec.mode,
             spec.delta,
             rng=rng,
-            index=index,
+            index=len(records),
             threshold_state=threshold_state,
             per_query_timeout=spec.per_query_timeout,
         )
         records.append(record)
         if record.outcome == "sat":
             sat_total += 1
-        index += 1
     return CampaignReport(
         mode=spec.mode.value,
         delta=spec.delta,
@@ -310,8 +292,12 @@ def _pack_floats(values) -> str:
     return " ".join(format_float(v) for v in values)
 
 
+def _point(values) -> tuple[float, ...]:
+    return tuple(map(float, values))
+
+
 def _unpack_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split())
+    return _point(text.split())
 
 
 def _parse_flag(text: str) -> bool:

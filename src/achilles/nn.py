@@ -87,11 +87,8 @@ class Network:
         # less than the scalar 0.0 and gives the same bits.
         floors = [_frozen_array(np.zeros(b.shape[0])) for b in biases[:-1]] + [None]
         object.__setattr__(self, "_layers", tuple(zip(weights, biases, floors)))
-        # The interval plan: (positive part, negative part, b, hidden) per
-        # layer, split once here rather than on every bounds query.
         object.__setattr__(self, "_interval_layers", tuple(
-            (_frozen_array(np.maximum(w, 0.0)), _frozen_array(np.minimum(w, 0.0)), b, floor is not None)
-            for w, b, floor in self._layers
+            _interval_layer(w, b, floor is not None) for w, b, floor in self._layers
         ))
 
     def _validate(self) -> None:
@@ -164,6 +161,29 @@ class Network:
     def __repr__(self) -> str:
         shape = "-".join(str(s) for s in self.layer_sizes)
         return f"Network({shape})"
+
+
+def _interval_layer(w: np.ndarray, b: np.ndarray, hidden: bool) -> tuple:
+    """``(w_pos, w_neg, b, err_w, err_b, hidden)``: the positive and negative
+    parts of ``w``, and ``err_w @ max(|lo|, |hi|) + err_b``, a bound on the
+    rounding error of ``w_pos @ lo + w_neg @ hi + b``.
+
+    Over n inputs that error is at most gamma_{n+2} * (|w| @ max(|lo|, |hi|)
+    + |b|) plus n + 2 underflows (Higham 2002, section 3.1); k = 2 * (n + 2)
+    in place of n + 2 also covers the rounding of the bound itself.
+    """
+    k = 2 * (w.shape[1] + 2)
+    unit = np.finfo(np.float64).eps / 2
+    gamma = k * unit / (1 - k * unit)
+    tiny = k * np.finfo(np.float64).smallest_subnormal
+    return (
+        _frozen_array(np.maximum(w, 0.0)),
+        _frozen_array(np.minimum(w, 0.0)),
+        b,
+        _frozen_array(gamma * np.abs(w)),
+        _frozen_array(gamma * np.abs(b) + tiny),
+        hidden,
+    )
 
 
 def _as_input(net: Network, x) -> np.ndarray:
@@ -348,7 +368,8 @@ def perturbation_region(net: Network, center, radius: float) -> tuple[np.ndarray
     ball lies entirely outside the input box.
     """
     center = _as_input(net, center)
-    if radius < 0:
+    # NaN compares false against 0 and would give a NaN box.
+    if not radius >= 0:
         raise ValueError("radius must be non-negative")
     lo, hi = ball_region(center, radius, net.input_lower, net.input_upper)
     if (lo > hi).any():

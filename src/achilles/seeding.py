@@ -25,7 +25,6 @@ __all__ = [
     "SeedSearchExhausted",
     "SeedingConfig",
     "ThresholdState",
-    "compute_threshold",
     "draw_sample_set",
     "generate_seed",
     "make_threshold_state",
@@ -108,42 +107,28 @@ def draw_sample_set(net: Network, rng: np.random.Generator, size: int = DEFAULT_
     return _uniform_points(net, rng, (size, net.input_size))
 
 
-def compute_threshold(net: Network, samples, strategy: str = "minimum") -> float:
-    """Margin threshold over a sample set.
-
-    ``minimum`` keeps the smallest sampled margin; ``average`` uses mean
-    minus standard deviation of the sampled margins.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim == 1:
-        samples = samples.reshape(1, -1)
-    if samples.size == 0:
-        raise ValueError("empty sample set")
-    margins = margin_batch(net, samples)
-    if strategy == "minimum":
-        return float(margins.min())
-    if strategy == "average":
-        # Infinite margins (a single-output net) give a NaN bar, which
-        # make_threshold_state refuses; numpy need not warn on the way.
-        with np.errstate(invalid="ignore"):
-            return float(margins.mean() - margins.std())
-    raise ValueError(f"unknown threshold strategy {strategy!r}")
-
-
 def make_threshold_state(net: Network, rng: np.random.Generator, config: SeedingConfig | None = None) -> ThresholdState:
     """Draw a fresh sample set and build the initial threshold state.
 
-    The average strategy can produce a non-positive bar when margins are
-    heavy-tailed; fall back to the sample minimum so escalation still has
+    ``minimum`` keeps the smallest sampled margin; ``average`` uses mean
+    minus standard deviation of the sampled margins, or the minimum when
+    that is non-positive (heavy-tailed margins), so escalation still has
     a workable base.  Raises ``ValueError`` when the bar is not finite
     (a single-output net's margins are all infinite; overflowing outputs
     give NaN), since no draw could qualify against it.
     """
     cfg = config or SeedingConfig()
-    samples = draw_sample_set(net, rng, cfg.sample_set_size)
-    value = compute_threshold(net, samples, cfg.threshold_strategy)
-    if value <= 0.0:
-        value = float(margin_batch(net, samples).min())
+    if cfg.threshold_strategy not in THRESHOLD_STRATEGIES:
+        raise ValueError(f"unknown threshold strategy {cfg.threshold_strategy!r}")
+    margins = margin_batch(net, draw_sample_set(net, rng, cfg.sample_set_size))
+    value = float(margins.min())
+    if cfg.threshold_strategy == "average":
+        # Infinite margins (a single-output net) give a NaN bar, which is
+        # refused below; numpy need not warn on the way.
+        with np.errstate(invalid="ignore"):
+            average = float(margins.mean() - margins.std())
+        if not average <= 0.0:
+            value = average
     if not math.isfinite(value):
         raise ValueError(f"seed threshold must be finite, got {value!r}")
     return ThresholdState(threshold=value, col_num=cfg.col_num)

@@ -109,12 +109,18 @@ class Verdict:
 
 
 def _propagate(layers, lo, hi):
-    for w_pos, w_neg, b, hidden in layers:
-        new_lo = w_pos @ lo + w_neg @ hi + b
-        new_hi = w_pos @ hi + w_neg @ lo + b
+    # The largest magnitude in the box, per coordinate; after a ReLU,
+    # 0 <= lo <= hi makes it hi.
+    scale = np.maximum(np.abs(lo), np.abs(hi))
+    for w_pos, w_neg, b, err_w, err_b, hidden in layers:
+        # Widen each affine step by a bound on its rounding error, then one
+        # ulp more for the rounding of the widening itself.
+        err = err_w @ scale + err_b
+        new_lo = np.nextafter(w_pos @ lo + w_neg @ hi + b - err, -np.inf)
+        new_hi = np.nextafter(w_pos @ hi + w_neg @ lo + b + err, np.inf)
         if hidden:
             lo = np.maximum(new_lo, 0.0)
-            hi = np.maximum(new_hi, 0.0)
+            hi = scale = np.maximum(new_hi, 0.0)
         else:
             lo, hi = new_lo, new_hi
     return lo, hi
@@ -124,7 +130,9 @@ def interval_bounds(net: Network, lower, upper) -> tuple[np.ndarray, np.ndarray]
     """Sound per-output enclosure over the box ``[lower, upper]``.
 
     Affine layers split weights by sign; hidden intervals clamp at zero.
-    For every x in the box and every output j, lo[j] <= out_j(x) <= hi[j].
+    Each affine step is rounded outward, so for every x in the box and
+    every output j, lo[j] <= out_j(x) <= hi[j] holds for the exact
+    (real-arithmetic) output, not only for a floating-point evaluation.
     """
     lower = np.asarray(lower, dtype=np.float64)
     upper = np.asarray(upper, dtype=np.float64)

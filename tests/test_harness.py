@@ -15,6 +15,8 @@ from achilles import (
     audit_report,
     load_network,
     make_threshold_state,
+    margin,
+    random_sample,
     report_digest,
     report_read,
     report_write,
@@ -137,6 +139,22 @@ class TestRunQuery:
         net = flip_net()
         record = run_query(net, Mode.R, 0.2, rng=np.random.default_rng(3))
         assert not record.greedy_found
+
+    def test_error_after_the_seed_keeps_the_seed(self, monkeypatch):
+        # The greedy stage finds nothing on a constant-margin net, so the
+        # query reaches the verifier, which fails here.
+        def failing(net, query):
+            raise RuntimeError("verifier failed")
+
+        monkeypatch.setattr(harness, "verify_local_robustness", failing)
+        net = constant_margin_net(gap=0.5, n_inputs=2)
+        record = run_query(net, Mode.RG, 0.2, rng=np.random.default_rng(4))
+        seed = random_sample(net, np.random.default_rng(4))
+        assert record.outcome == "error"
+        assert record.reason == "RuntimeError: verifier failed"
+        assert record.seed == tuple(seed)
+        assert record.seed_margin == margin(net, seed) == 0.5
+        assert record.witness is None and not record.greedy_found
 
 
 class TestRunCampaign:

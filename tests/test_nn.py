@@ -517,3 +517,8 @@ class TestPerturbationRegion:
         net = zero_net()
         with pytest.raises(ValueError, match="does not intersect"):
             perturbation_region(net, [5.0, 5.0], 0.5)
+
+    @pytest.mark.parametrize("radius", [-0.5, math.nan])
+    def test_negative_or_nan_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="non-negative"):
+            perturbation_region(zero_net(), [0.5, 0.5], radius)

@@ -11,7 +11,6 @@ from achilles import (
     SeedSearchExhausted,
     SeedingConfig,
     ThresholdState,
-    compute_threshold,
     draw_sample_set,
     generate_seed,
     make_threshold_state,
@@ -100,40 +99,64 @@ class TestRandomSample:
         assert abs(samples.mean() - 0.5) < 0.01
 
 
+def _sample_set_and_state(net, seed, **config):
+    """The sample set ``make_threshold_state`` draws from ``seed``, and the state."""
+    cfg = SeedingConfig(**config)
+    samples = draw_sample_set(net, np.random.default_rng(seed), cfg.sample_set_size)
+    return samples, make_threshold_state(net, np.random.default_rng(seed), cfg)
+
+
 class TestComputeThreshold:
+    """The bar ``make_threshold_state`` computes from its sample set.
+
+    A non-finite bar is refused: ``TestGenerateSeed``'s
+    ``test_nan_threshold_is_rejected_before_sampling`` and
+    ``test_single_output_net_has_no_threshold`` cover it.
+    """
+
     def test_singleton(self):
         net = ramp_net()
-        assert compute_threshold(net, [[0.7]]) == margin(net, [0.7])
+        samples, state = _sample_set_and_state(net, 3, sample_set_size=1)
+        assert state.threshold == margin(net, samples[0])
 
     def test_known_minimum(self):
-        # ramp_net's margin at x is exactly x, so these points have
-        # margins {0.5, 0.2, 0.9}.
-        net = ramp_net()
-        assert compute_threshold(net, [[0.5], [0.2], [0.9]]) == 0.2
+        # ramp_net's margin at x is exactly x on its box [0, 2].
+        samples, state = _sample_set_and_state(ramp_net(), 4, sample_set_size=3)
+        assert state.threshold == samples.min()
 
     def test_empty_sample_set(self):
-        with pytest.raises(ValueError, match="empty"):
-            compute_threshold(ramp_net(), np.empty((0, 1)))
+        with pytest.raises(ValueError, match="positive"):
+            SeedingConfig(sample_set_size=0)
+        with pytest.raises(ValueError, match="positive"):
+            draw_sample_set(ramp_net(), np.random.default_rng(0), 0)
 
     def test_matches_brute_force_scan(self):
-        # The scan evaluates point by point while compute_threshold uses a
-        # batch; BLAS rounding differs between the two by a few ulps.
+        # The scan evaluates point by point while make_threshold_state uses
+        # a batch; BLAS rounding differs between the two by a few ulps.
         net = random_network([2, 4, 2], 55)
-        samples = draw_sample_set(net, np.random.default_rng(55), 1000)
-        got = compute_threshold(net, samples)
+        samples, state = _sample_set_and_state(net, 55)
         brute = min(margin(net, x) for x in samples)
-        assert abs(got - brute) < 1e-12
+        assert abs(state.threshold - brute) < 1e-12
 
     def test_average_strategy_formula(self):
         net = random_network([2, 4, 2], 56)
-        samples = draw_sample_set(net, np.random.default_rng(56), 200)
+        samples, state = _sample_set_and_state(net, 56, sample_set_size=200, threshold_strategy="average")
         margins = margin_batch(net, samples)
         expected = float(margins.mean() - margins.std())
-        assert compute_threshold(net, samples, "average") == expected
+        assert expected > 0
+        assert state.threshold == expected
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="strategy"):
-            compute_threshold(ramp_net(), [[0.5]], "median")
+            SeedingConfig(threshold_strategy="median")
+        # A config changed after construction is refused before any draw.
+        config = SeedingConfig()
+        config.threshold_strategy = "median"
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="strategy"):
+            make_threshold_state(ramp_net(), rng, config)
+        assert rng.bit_generator.state == before
 
 
 class TestGenerateSeed:
@@ -357,11 +380,9 @@ class TestDefaults:
 
     def test_make_threshold_state_uses_minimum(self):
         net = random_network([2, 5, 2], 31)
-        rng = np.random.default_rng(4)
-        state = make_threshold_state(net, rng)
-        rng2 = np.random.default_rng(4)
-        samples = draw_sample_set(net, rng2, 1000)
-        assert state.threshold == compute_threshold(net, samples)
+        samples, state = _sample_set_and_state(net, 4)
+        assert len(samples) == 1000
+        assert state.threshold == float(margin_batch(net, samples).min())
 
     def test_average_fallback_when_nonpositive(self):
         # Heavy-tailed margins: mostly ~0.001*x, occasionally ~100*(x-0.9).
@@ -371,14 +392,10 @@ class TestDefaults:
             lower=[0.0],
             upper=[1.0],
         )
-        rng = np.random.default_rng(2)
-        samples = draw_sample_set(net, np.random.default_rng(2), 1000)
-        raw = compute_threshold(net, samples, "average")
-        assert raw <= 0  # the scenario this fallback exists for
-        state = make_threshold_state(
-            net, rng, SeedingConfig(threshold_strategy="average")
-        )
-        assert state.threshold == float(margin_batch(net, samples).min())
+        samples, state = _sample_set_and_state(net, 2, threshold_strategy="average")
+        margins = margin_batch(net, samples)
+        assert margins.mean() - margins.std() <= 0  # the scenario this fallback exists for
+        assert state.threshold == float(margins.min())
         assert state.threshold > 0
 
 

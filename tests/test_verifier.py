@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from achilles import (
     random_network,
     verify_local_robustness,
 )
-from helpers import flip_net, net_from_lists, zero_net
+from helpers import flip_net, net_from_lists, rational_forward, zero_net
 
 
 class TestIntervalBounds:
@@ -31,15 +33,19 @@ class TestIntervalBounds:
         assert (lo <= hi).all()
 
     def test_zero_net_bounds_are_biases(self):
-        lo, hi = interval_bounds(zero_net(), [0.0, 0.0], [1.0, 1.0])
-        assert np.array_equal(lo, [0.0, 0.0])
-        assert np.array_equal(hi, [0.0, 0.0])
+        # Outward rounding widens a constant output by a few ulps, and
+        # never inward.
         biased = net_from_lists(
             [[[0.0]], [[0.0], [0.0]]], [[0.0], [2.0, -1.0]], [0.0], [1.0]
         )
-        lo, hi = interval_bounds(biased, [0.0], [1.0])
-        assert np.array_equal(lo, [2.0, -1.0])
-        assert np.array_equal(hi, [2.0, -1.0])
+        for net, box, biases in (
+            (zero_net(), ([0.0, 0.0], [1.0, 1.0]), np.array([0.0, 0.0])),
+            (biased, ([0.0], [1.0]), np.array([2.0, -1.0])),
+        ):
+            lo, hi = interval_bounds(net, *box)
+            assert (lo <= biases).all() and (hi >= biases).all()
+            assert np.allclose(lo, biases, rtol=1e-14, atol=1e-300)
+            assert np.allclose(hi, biases, rtol=1e-14, atol=1e-300)
 
     def test_sampled_points_stay_inside_enclosure(self):
         net = random_network([2, 4, 2], 45)
@@ -48,6 +54,29 @@ class TestIntervalBounds:
         values = forward_batch(net, rng.uniform(0, 1, size=(10_000, 2)))
         assert (values >= lo - 1e-12).all()
         assert (values <= hi + 1e-12).all()
+
+    def test_exact_outputs_stay_inside_enclosure(self):
+        # Exact rational outputs, not float ones: the bound must hold in
+        # real arithmetic.  Each net gets a random box, a point box
+        # (lower == upper) at one random point, and points drawn inside
+        # the box and at its corners.  A point box encloses a point that
+        # float evaluation rounds to either side, which an enclosure that
+        # is not rounded outward misses.
+        rng = np.random.default_rng(60)
+        for i in range(24):
+            d = int(rng.integers(2, 6))
+            shape = [d, int(rng.integers(8, 24)), int(rng.integers(8, 24)), 3]
+            net = random_network(shape, 6000 + i, weight_scale=3.0)
+            x = rng.uniform(0.0, 1.0, d)
+            radius = rng.uniform(0.0, 0.2, d)
+            lower, upper = np.maximum(x - radius, 0.0), np.minimum(x + radius, 1.0)
+            corners = np.where(rng.integers(0, 2, size=(4, d)).astype(bool), upper, lower)
+            inside = np.clip(lower + (upper - lower) * rng.random((4, d)), lower, upper)
+            for box, points in (((x, x), [x]), ((lower, upper), [*corners, *inside])):
+                lo, hi = interval_bounds(net, *box)
+                for point in points:
+                    exact = rational_forward(net.weights, net.biases, point)
+                    assert all(Fraction(a) <= v <= Fraction(b) for a, v, b in zip(lo, exact, hi)), (i, point)
 
     def test_dimension_check(self):
         with pytest.raises(ValueError, match="dimensions"):
