@@ -71,7 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--shape", required=True, help="comma-separated layer sizes, e.g. 2,8,8,2")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--scale", type=float, default=1.0, help="weight scale")
-    gen.add_argument("--bias-scale", type=float, default=0.05)
     gen.add_argument("--lower", type=float, default=0.0, help="input box lower bound")
     gen.add_argument("--upper", type=float, default=1.0, help="input box upper bound")
     gen.add_argument("--out", help="output file (stdout when omitted)")
@@ -152,7 +151,6 @@ def _cmd_gen_net(args) -> int:
         shape,
         args.seed,
         weight_scale=args.scale,
-        bias_scale=args.bias_scale,
         input_bounds=(args.lower, args.upper),
     )
     if args.out:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import Network, ball_region, classify, forward_batch, perturbation_region, top_gap
+from .nn import Network, ball_region, classify, forward_batch, margin, perturbation_region, top_gap
 
 __all__ = ["SearchOutcome", "gen_neighbors", "greedy_search"]
 
@@ -75,7 +75,7 @@ def greedy_search(net: Network, x0, delta: float, *, record_trace: bool = False)
     lo, hi = perturbation_region(net, x0, delta)
 
     x = x0.copy()
-    current = float(top_gap(forward_batch(net, x[np.newaxis, :]))[0])
+    current = margin(net, x0)
     step = delta / 2.0
     floor = delta / 1024.0
     iterations = 0

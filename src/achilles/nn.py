@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 FILE_HEADER = "relunet v1"
+_BIAS_SCALE = 0.05  # standard deviation of random_network's biases
 
 
 class NetworkFormatError(ValueError):
@@ -199,9 +200,9 @@ def _layer_values(layers, a: np.ndarray, outputs: list | None = None) -> np.ndar
     """Output values at one already validated float64 input row.
 
     ``layers`` is a network's ``_layers`` plan.  Each layer is one
-    matrix-vector product (a BLAS gemv), which rounds exactly as
-    ``forward_batch`` of the row as a contiguous one-row batch.  Given
-    a list as ``outputs``, every layer's output is appended to it.
+    matrix-vector product (a BLAS gemv), which rounds exactly as the
+    row's own pass in ``forward_batch``.  Given a list as ``outputs``,
+    every layer's output is appended to it.
     """
     for w, b, floor in layers:
         a = w.dot(a)
@@ -243,20 +244,22 @@ def _point_values(net: Network, x) -> np.ndarray:
 def forward_batch(net: Network, xs) -> np.ndarray:
     """Evaluate many points at once; rows of ``xs`` are inputs.
 
-    Returns an ``(n, output_size)`` array of output values.
+    Returns an ``(n, output_size)`` array of output values.  Each row is
+    one gemv per layer with the bits of ``_layer_values``; a stacked matmul
+    makes one only for unit-stride rows, so the batch is taken in C order.
     """
-    # A row matmul cannot hand a non-contiguous row to BLAS and rounds
-    # differently; in C order every batch rounds like its contiguous copy.
     a = np.asarray(xs, dtype=np.float64, order="C")
     if a.ndim != 2 or a.shape[1] != net.input_size:
         raise ValueError(
             f"batch has shape {a.shape}, expected (n, {net.input_size})"
         )
+    a = a[:, :, np.newaxis]
     for w, b, floor in net._layers:
-        a = a @ w.T + b
+        a = np.matmul(w, a)
+        a += b[:, np.newaxis]
         if floor is not None:
-            a = np.maximum(a, 0.0)
-    return a
+            np.maximum(a, 0.0, out=a)
+    return a[:, :, 0]
 
 
 def top_gap(values: np.ndarray) -> np.ndarray:
@@ -346,6 +349,11 @@ def ball_region(center, radius: float, lower, upper) -> tuple[np.ndarray, np.nda
     entry exceeds its upper) when the ball misses the box.
     """
     center = np.asarray(center, dtype=np.float64)
+    # NaN compares false against everything and would give a NaN box.
+    if not radius >= 0:
+        raise ValueError("radius must be non-negative")
+    if not np.isfinite(center).all():
+        raise ValueError("center must be finite")
     lo = center - radius
     hi = center + radius
     # Rounding may push a bound further than radius from the center;
@@ -368,9 +376,6 @@ def perturbation_region(net: Network, center, radius: float) -> tuple[np.ndarray
     ball lies entirely outside the input box.
     """
     center = _as_input(net, center)
-    # NaN compares false against 0 and would give a NaN box.
-    if not radius >= 0:
-        raise ValueError("radius must be non-negative")
     lo, hi = ball_region(center, radius, net.input_lower, net.input_upper)
     if (lo > hi).any():
         raise ValueError("perturbation ball does not intersect the input box")
@@ -382,13 +387,12 @@ def random_network(
     rng,
     *,
     weight_scale: float = 1.0,
-    bias_scale: float = 0.05,
     input_bounds: tuple[float, float] = (0.0, 1.0),
 ) -> Network:
     """Generate a network with Gaussian weights for synthetic test suites.
 
     Weights are drawn N(0, weight_scale^2 / fan_in) so depth does not
-    blow activations up; biases are N(0, bias_scale^2).
+    blow activations up; biases are N(0, 0.05^2).
     """
     rng = np.random.default_rng(rng)
     sizes = [int(s) for s in layer_sizes]
@@ -398,7 +402,7 @@ def random_network(
     biases = []
     for n_in, n_out in zip(sizes, sizes[1:]):
         weights.append(rng.standard_normal((n_out, n_in)) * (weight_scale / math.sqrt(n_in)))
-        biases.append(rng.standard_normal(n_out) * bias_scale)
+        biases.append(rng.standard_normal(n_out) * _BIAS_SCALE)
     low, high = input_bounds
     return Network(
         weights=tuple(weights),

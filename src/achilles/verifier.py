@@ -142,6 +142,9 @@ def interval_bounds(net: Network, lower, upper) -> tuple[np.ndarray, np.ndarray]
         raise ValueError(
             f"box bounds have shape {lower.shape}, network expects {net.input_size} dimensions"
         )
+    # NaN compares false against everything and would give NaN bounds.
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise ValueError("box bounds must be finite")
     if (lower > upper).any():
         raise ValueError("box lower bound exceeds upper bound")
     return _propagate(net._interval_layers, lower, upper)

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from achilles import (
     NetworkFormatError,
+    ball_region,
     classify,
     classify_batch,
     format_float,
@@ -227,14 +228,13 @@ class TestForward:
         assert abs(margin(net, x) - 0.012065323802273315) < 1e-12
 
     def test_batch_matches_single(self):
-        # BLAS may round differently for different batch sizes; agreement
-        # is only up to a few ulps.
+        # Every batch row is the row's own gemv per layer: the same bits.
         net = random_network([3, 6, 4], 7)
         rng = np.random.default_rng(1)
         xs = rng.uniform(0, 1, size=(20, 3))
         batch = forward_batch(net, xs)
         for i, x in enumerate(xs):
-            assert np.allclose(batch[i], nn._point_values(net, x), rtol=0, atol=1e-12)
+            assert batch[i].tobytes() == nn._point_values(net, x).tobytes()
 
 
 class TestMargin:
@@ -278,9 +278,9 @@ class TestMargin:
     )
     def test_point_margin_and_label_equal_forward(self, inputs, outputs, hidden, integral, seed):
         # The single-point path is a gemv per layer and margin takes its
-        # gap in Python floats; both must give the bits of a contiguous
-        # one-row batch, whatever the layout of x, and so must a one-row
-        # batch of any layout.  Integral weights make ties common.
+        # gap in Python floats; every row of a batch, in C or Fortran
+        # order, must give the same bits, label and gap, and so must a
+        # one-row batch of any layout.  Integral weights make ties common.
         net = random_network([inputs] + [5] * hidden + [outputs], seed, weight_scale=3.0)
         if integral:
             net = net_from_lists(
@@ -289,7 +289,14 @@ class TestMargin:
                 net.input_lower,
                 net.input_upper,
             )
-        for x in np.random.default_rng(seed).uniform(-1, 2, size=(10, inputs)):
+        xs = np.random.default_rng(seed).uniform(-1, 2, size=(10, inputs))
+        for batch in (xs, np.asfortranarray(xs)):
+            values = forward_batch(net, batch)
+            for x, row, gap, label in zip(xs, values, top_gap(values), np.argmax(values, axis=1)):
+                assert row.tobytes() == nn._point_values(net, x).tobytes()
+                assert repr(float(gap)) == repr(margin(net, x))
+                assert label == classify(net, x)
+        for x in xs:
             row = forward_batch(net, x[np.newaxis])[0]
             values = nn._point_values(net, x)
             assert values.tobytes() == row.tobytes()
@@ -305,6 +312,35 @@ class TestMargin:
                 assert np.array_equal(view, x), name
                 assert nn._point_values(net, view).tobytes() == row.tobytes(), name
                 assert forward_batch(net, view[np.newaxis])[0].tobytes() == row.tobytes(), name
+
+    def test_batch_rows_equal_point_path_on_decision_boundaries(self):
+        # Bisect segments between differently labelled points down to
+        # adjacent floats, so both ends sit on a decision boundary where
+        # one rounding in the last bit can flip the label, so a batch that
+        # rounds unlike the point path disagrees with it here.
+        checked = 0
+        for i in range(20):
+            net = random_network([2, 24, 24, 2], 7000 + i, weight_scale=3.0)
+            points = []
+            for a, b in np.random.default_rng(i).uniform(0, 1, size=(40, 2, 2)):
+                label_a = classify(net, a)
+                if classify(net, b) == label_a:
+                    continue
+                for _ in range(60):
+                    mid = 0.5 * (a + b)
+                    if np.array_equal(mid, a) or np.array_equal(mid, b):
+                        break
+                    if classify(net, mid) == label_a:
+                        a = mid
+                    else:
+                        b = mid
+                points += [a, b]
+            if points:
+                xs = np.stack(points)
+                assert classify_batch(net, xs).tolist() == [classify(net, x) for x in xs]
+                assert [repr(float(m)) for m in margin_batch(net, xs)] == [repr(margin(net, x)) for x in xs]
+            checked += len(points)
+        assert checked >= 100
 
     def test_sampled_margins_match_rational_oracle(self):
         net = random_network([2, 4, 3], 13)
@@ -518,7 +554,17 @@ class TestPerturbationRegion:
         with pytest.raises(ValueError, match="does not intersect"):
             perturbation_region(net, [5.0, 5.0], 0.5)
 
-    @pytest.mark.parametrize("radius", [-0.5, math.nan])
+    @pytest.mark.parametrize("radius", [-0.5, math.nan, -math.inf])
     def test_negative_or_nan_radius_rejected(self, radius):
         with pytest.raises(ValueError, match="non-negative"):
             perturbation_region(zero_net(), [0.5, 0.5], radius)
+        with pytest.raises(ValueError, match="non-negative"):
+            ball_region([0.5, 0.5], radius, [0.0, 0.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_center_rejected(self, bad):
+        # NaN fails every comparison, so the bounds would come back NaN.
+        with pytest.raises(ValueError, match="center must be finite"):
+            perturbation_region(zero_net(), [bad, 0.5], 0.1)
+        with pytest.raises(ValueError, match="center must be finite"):
+            ball_region([bad, 0.5], 0.1, [0.0, 0.0], [1.0, 1.0])

@@ -16,7 +16,7 @@ def test_library_sketch_runs(capsys):
 def test_ci_runs_the_readme_commands_verbatim():
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
     commands = [line.strip() for line in workflow.splitlines() if line.strip().startswith("achilles ")]
-    assert len(commands) == 3
+    assert len(commands) == 5
     readme_lines = README.read_text(encoding="utf-8").splitlines()
     for command in commands:
         assert command in readme_lines, command

@@ -88,6 +88,14 @@ class TestIntervalBounds:
         with pytest.raises(ValueError, match="exceeds"):
             interval_bounds(flip_net(), [1.0], [0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bound_rejected(self, bad):
+        # NaN fails the ordering check and would give all-NaN bounds.
+        with pytest.raises(ValueError, match="finite"):
+            interval_bounds(zero_net(), [bad, 0.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            interval_bounds(zero_net(), [0.0, 0.0], [0.5, bad])
+
 
 class TestVerify:
     def test_lipschitz_safe_radius_is_unsat_at_root(self):
