@@ -33,7 +33,6 @@ from .harness import (
 from .nn import (
     Network,
     NetworkFormatError,
-    ball_region,
     classify,
     classify_batch,
     format_float,
@@ -45,7 +44,6 @@ from .nn import (
     margin,
     margin_batch,
     parse_network,
-    perturbation_region,
     random_network,
     save_network,
     top_gap,

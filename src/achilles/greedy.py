@@ -10,12 +10,12 @@ counter-example; running out of step width means the search gives up
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import Network, ball_region, classify, forward_batch, margin, perturbation_region, top_gap
+from .nn import Network, forward_batch, margin, top_gap
+from .verifier import VerificationQuery, _query_region
 
 __all__ = ["SearchOutcome", "gen_neighbors", "greedy_search"]
 
@@ -44,38 +44,39 @@ class SearchOutcome:
         return self.counter_example is not None
 
 
-def gen_neighbors(x, step: float, x0, delta: float, lower, upper) -> list[np.ndarray]:
-    """Single-coordinate +/-step moves, clipped to ball and box.
+def gen_neighbors(x, step: float, lo, hi) -> list[np.ndarray]:
+    """Single-coordinate +/-step moves, clipped to the box ``[lo, hi]``.
 
-    Emits up to 2n candidates in dimension order (+step before -step),
-    each clipped to the input box and the L-inf ball of radius ``delta``
-    around ``x0``; candidates that collapse onto ``x`` are dropped.
+    Emits up to 2n candidates in dimension order (+step before -step);
+    candidates that collapse onto ``x`` are dropped.  Greedy passes the
+    query's box, so every candidate stays within ``delta`` of x0.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=np.float64)
-    lo, hi = ball_region(x0, delta, lower, upper)
-    return _axis_moves(x, step, lo, hi)
+    out = []
+    for i in range(x.shape[0]):
+        for sign in (1.0, -1.0):
+            cand = x.copy()
+            cand[i] = min(max(cand[i] + sign * step, lo[i]), hi[i])
+            if cand[i] != x[i]:
+                out.append(cand)
+    return out
 
 
-def greedy_search(net: Network, x0, delta: float, *, record_trace: bool = False) -> SearchOutcome:
-    """Descend the margin around ``x0`` looking for a label flip.
+def greedy_search(net: Network, query: VerificationQuery, *, record_trace: bool = False) -> SearchOutcome:
+    """Descend the margin around the query's x0 looking for a label flip.
 
     The first step is ``delta / 2``; a round without improvement halves
     it, and the search gives up once it falls below ``delta / 1024`` or
-    after 10,000 rounds.  The flip test is always against the seed's
-    original label, and every candidate stays within ``delta`` of
-    ``x0``, so a returned point is a genuine counter-example for the
-    query.  Fully deterministic.
+    after 10,000 rounds.  The flip test is always against the query's
+    ``label0``, and every candidate stays in the query's box, so a
+    returned point is a genuine counter-example for the query.  Fully
+    deterministic.
     """
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError("delta must be positive and finite")
-    x0 = np.asarray(x0, dtype=np.float64)
-    label0 = classify(net, x0)
-    lo, hi = perturbation_region(net, x0, delta)
-
-    x = x0.copy()
-    current = margin(net, x0)
+    lo, hi = _query_region(net, query)
+    x, delta = query.x0, query.delta
+    current = margin(net, x)
     step = delta / 2.0
     floor = delta / 1024.0
     iterations = 0
@@ -83,14 +84,14 @@ def greedy_search(net: Network, x0, delta: float, *, record_trace: bool = False)
 
     while step >= floor and iterations < _MAX_ITERATIONS:
         iterations += 1
-        candidates = _axis_moves(x, step, lo, hi)
+        candidates = gen_neighbors(x, step, lo, hi)
         moved = False
         if candidates:
             batch = forward_batch(net, np.stack(candidates))
             gaps = top_gap(batch)
             # The first flip in scan order wins; otherwise the first
             # smallest margin, if strictly below the current one.
-            flips = np.flatnonzero(np.argmax(batch, axis=1) != label0)
+            flips = np.flatnonzero(np.argmax(batch, axis=1) != query.label0)
             if flips.size:
                 return SearchOutcome(
                     counter_example=candidates[flips[0]],
@@ -111,14 +112,3 @@ def greedy_search(net: Network, x0, delta: float, *, record_trace: bool = False)
         final_margin=current,
         trace=tuple(trace) if trace is not None else None,
     )
-
-
-def _axis_moves(x, step, lo, hi):
-    out = []
-    for i in range(x.shape[0]):
-        for sign in (1.0, -1.0):
-            cand = x.copy()
-            cand[i] = min(max(cand[i] + sign * step, lo[i]), hi[i])
-            if cand[i] != x[i]:
-                out.append(cand)
-    return out

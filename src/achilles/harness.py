@@ -24,7 +24,7 @@ from typing import NamedTuple, get_type_hints
 import numpy as np
 
 from .greedy import greedy_search
-from .nn import Network, classify, format_float, load_network, margin
+from .nn import Network, format_float, load_network, margin
 from .seeding import SeedingConfig, ThresholdState, generate_seed, make_threshold_state, random_sample
 from .verifier import VerificationQuery, check_witness, verify_local_robustness
 
@@ -182,17 +182,12 @@ def run_query(
             seed = random_sample(net, rng)
         record.seed = _point(seed)
         record.seed_margin = margin(net, seed)
-        found = greedy_search(net, seed, delta) if mode.greedy else None
+        query = VerificationQuery.for_point(net, seed, delta, time_budget=per_query_timeout)
+        found = greedy_search(net, query) if mode.greedy else None
         if found is not None and found.found:
             record.outcome, record.greedy_found = "sat", True
             record.witness = _point(found.counter_example)
         else:
-            query = VerificationQuery(
-                x0=seed,
-                delta=delta,
-                label0=classify(net, seed),
-                time_budget=per_query_timeout,
-            )
             verdict = verify_local_robustness(net, query)
             record.outcome, record.reason = verdict.kind.value, verdict.reason
             if verdict.witness is not None:
@@ -268,17 +263,17 @@ def _config_echo(spec: CampaignSpec) -> dict:
 
 
 def audit_report(net: Network, report: CampaignReport) -> None:
-    """Re-validate every stored SAT witness; raises on the first failure."""
+    """Re-validate every stored SAT witness; raises ``ReportFormatError``
+    on the first failure, a seed or delta that makes no query included."""
     for record in report.records:
         if record.outcome != "sat":
             continue
         if record.witness is None:
             raise ReportFormatError(f"run {record.index}: SAT without witness")
-        query = VerificationQuery(
-            x0=np.array(record.seed),
-            delta=report.delta,
-            label0=classify(net, np.array(record.seed)),
-        )
+        try:
+            query = VerificationQuery.for_point(net, record.seed, report.delta)
+        except ValueError as exc:
+            raise ReportFormatError(f"run {record.index}: {exc}") from None
         if not check_witness(net, query, np.array(record.witness)):
             raise ReportFormatError(f"run {record.index}: witness failed re-validation")
 

@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "Network",
     "NetworkFormatError",
-    "ball_region",
     "classify",
     "classify_batch",
     "format_float",
@@ -33,7 +32,6 @@ __all__ = [
     "margin",
     "margin_batch",
     "parse_network",
-    "perturbation_region",
     "random_network",
     "save_network",
     "top_gap",
@@ -339,47 +337,6 @@ def lipschitz_bound(net: Network) -> float:
     for w in net.weights:
         bound *= float(np.abs(w).sum(axis=1).max())
     return bound
-
-
-def ball_region(center, radius: float, lower, upper) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds of the L-inf ball around ``center`` clipped to ``[lower, upper]``.
-
-    Every point inside the returned bounds is within ``radius`` of the
-    center in floating-point arithmetic.  The bounds cross (some lower
-    entry exceeds its upper) when the ball misses the box.
-    """
-    center = np.asarray(center, dtype=np.float64)
-    # NaN compares false against everything and would give a NaN box.
-    if not radius >= 0:
-        raise ValueError("radius must be non-negative")
-    if not np.isfinite(center).all():
-        raise ValueError("center must be finite")
-    lo = center - radius
-    hi = center + radius
-    # Rounding may push a bound further than radius from the center;
-    # pull it back so distance checks on points at the bound never fail.
-    for bound in (lo, hi):
-        over = np.abs(bound - center) > radius
-        while over.any():
-            bound[over] = np.nextafter(bound[over], center[over])
-            over = np.abs(bound - center) > radius
-    lo = np.maximum(lo, np.asarray(lower, dtype=np.float64))
-    hi = np.minimum(hi, np.asarray(upper, dtype=np.float64))
-    return lo, hi
-
-
-def perturbation_region(net: Network, center, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds of the L-inf ball around ``center`` clipped to the input box.
-
-    Every point inside the returned bounds is within ``radius`` of the
-    center in floating-point arithmetic.  Raises ``ValueError`` when the
-    ball lies entirely outside the input box.
-    """
-    center = _as_input(net, center)
-    lo, hi = ball_region(center, radius, net.input_lower, net.input_upper)
-    if (lo > hi).any():
-        raise ValueError("perturbation ball does not intersect the input box")
-    return lo, hi
 
 
 def random_network(

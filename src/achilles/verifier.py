@@ -24,7 +24,6 @@ from .nn import (
     classify_batch,
     forward_batch,
     lipschitz_bound,
-    perturbation_region,
 )
 
 __all__ = [
@@ -150,15 +149,15 @@ def interval_bounds(net: Network, lower, upper) -> tuple[np.ndarray, np.ndarray]
     return _propagate(net._interval_layers, lower, upper)
 
 
-def _certification_gap(lo, hi, label0) -> float:
+def _certification_gap(lo, hi, label0):
     """Lower bound on min over j != label0 of out[label0] - out[j].
 
-    Positive means every point in the box keeps label0.
+    Taken over the last axis, so a batch gets one gap per row.  Positive
+    means every point in the box keeps label0; with no other output the
+    maximum is ``-inf`` and the gap ``inf``.
     """
-    others_hi = np.delete(hi, label0)
-    if others_hi.size == 0:
-        return math.inf
-    return float(lo[label0] - others_hi.max())
+    others_hi = np.delete(hi, label0, axis=-1)
+    return lo[..., label0] - others_hi.max(axis=-1, initial=-math.inf)
 
 
 def check_witness(net: Network, query: VerificationQuery, point) -> bool:
@@ -192,12 +191,31 @@ def _probe(net, lo, hi, label0, rng):
 
 
 def _query_region(net: Network, query: VerificationQuery) -> tuple[np.ndarray, np.ndarray]:
-    """The query's box, once ``label0`` is checked to be x0's label."""
-    if classify(net, query.x0) != query.label0:
+    """The query's box: the L-inf ball of radius ``delta`` around x0,
+    clipped to the input box, once ``label0`` is checked to be x0's label.
+
+    Every point inside the box is within ``delta`` of x0 in floating-point
+    arithmetic.  Raises ``ValueError`` when the ball misses the input box.
+    """
+    x0, delta = query.x0, query.delta
+    if classify(net, x0) != query.label0:
         raise ValueError(
             f"query label {query.label0} is not the network's label for x0"
         )
-    return perturbation_region(net, query.x0, query.delta)
+    lo = x0 - delta
+    hi = x0 + delta
+    # Rounding may push a bound further than delta from x0; pull it back
+    # so distance checks on points at the bound never fail.
+    for bound in (lo, hi):
+        over = np.abs(bound - x0) > delta
+        while over.any():
+            bound[over] = np.nextafter(bound[over], x0[over])
+            over = np.abs(bound - x0) > delta
+    lo = np.maximum(lo, net.input_lower)
+    hi = np.minimum(hi, net.input_upper)
+    if (lo > hi).any():
+        raise ValueError("perturbation ball does not intersect the input box")
+    return lo, hi
 
 
 def verify_local_robustness(net: Network, query: VerificationQuery) -> Verdict:
@@ -347,11 +365,7 @@ def grid_oracle(net: Network, query: VerificationQuery, spacing: float) -> GridR
         hits = np.nonzero(labels != query.label0)[0]
         if hits.size:
             return GridResult(GridOutcome.SAT, witness=chunk[hits[0]])
-        if net.output_size == 1:
-            continue
-        others = np.delete(values, query.label0, axis=1)
-        toward_label = values[:, query.label0] - others.max(axis=1)
-        if not (toward_label > certificate).all():
+        if not (_certification_gap(values, values, query.label0) > certificate).all():
             robust_everywhere = False
     if robust_everywhere:
         return GridResult(GridOutcome.UNSAT)

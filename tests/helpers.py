@@ -23,6 +23,7 @@ from achilles import (
     margin,
     random_sample,
 )
+from achilles.verifier import _query_region
 
 
 def rational_forward(weights, biases, x):
@@ -167,7 +168,7 @@ def _row_margin(values):
     return float(part[-1] - part[-2])
 
 
-def reference_greedy_search(net, x0, delta, record_trace=False):
+def reference_greedy_search(net, query, record_trace=False):
     """Per-candidate loop version of ``greedy_search``.
 
     Scores the candidates of each round one row at a time: the first
@@ -177,16 +178,15 @@ def reference_greedy_search(net, x0, delta, record_trace=False):
     round without a move; the search gives up below delta / 1024 or after
     10,000 rounds.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
-    label0 = classify(net, x0)
-    x = x0.copy()
+    lo, hi = _query_region(net, query)
+    x, delta, label0 = query.x0, query.delta, query.label0
     current = _row_margin(forward_batch(net, x[np.newaxis, :])[0])
     step = delta / 2.0
     iterations = 0
     trace = [] if record_trace else None
     while step >= delta / 1024.0 and iterations < 10_000:
         iterations += 1
-        candidates = gen_neighbors(x, step, x0, delta, net.input_lower, net.input_upper)
+        candidates = gen_neighbors(x, step, lo, hi)
         best = None
         best_margin = current
         if candidates:

@@ -198,7 +198,8 @@ class TestCriterion3:
             for _ in range(50):
                 x0 = rng.uniform(0, 1, size=2)
                 delta = float(rng.uniform(0.02, 0.2))
-                outcome = greedy_search(net, x0, delta, record_trace=True)
+                query = VerificationQuery.for_point(net, x0, delta)
+                outcome = greedy_search(net, query, record_trace=True)
                 searches += 1
                 if outcome.found:
                     found += 1

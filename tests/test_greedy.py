@@ -13,6 +13,7 @@ from achilles import (
     random_network,
     verify_local_robustness,
 )
+from achilles.verifier import _query_region
 from helpers import (
     assert_valid_trace,
     constant_margin_net,
@@ -26,7 +27,7 @@ from helpers import (
 class TestGenNeighbors:
     def test_interior_point_has_2n_neighbors(self):
         x = [0.5, 0.5]
-        got = gen_neighbors(x, 0.125, x, 0.25, [0.0, 0.0], [1.0, 1.0])
+        got = gen_neighbors(x, 0.125, [0.25, 0.25], [0.75, 0.75])
         assert len(got) == 4
         expected = [[0.625, 0.5], [0.375, 0.5], [0.5, 0.625], [0.5, 0.375]]
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
@@ -37,22 +38,22 @@ class TestGenNeighbors:
         # x sits on the upper box boundary in dimension 0: the +step move
         # clips back onto x and is dropped.
         x = [1.0, 0.5]
-        got = gen_neighbors(x, 0.125, x, 0.5, [0.0, 0.0], [1.0, 1.0])
+        got = gen_neighbors(x, 0.125, [0.5, 0.0], [1.0, 1.0])
         assert len(got) == 3
         assert np.array_equal(got[0], [0.875, 0.5])
 
     def test_ball_clips_outward_move(self):
-        # x is at distance delta from the center in dimension 1, so the
-        # outward move clips to the ball surface.
-        x0 = [0.5, 0.5]
-        x = [0.5, 0.75]
-        got = gen_neighbors(x, 0.125, x0, 0.25, [0.0, 0.0], [1.0, 1.0])
+        # The query box of x0 = (0.5, 0.5) with delta 0.25: x is on its
+        # surface in dimension 1, so the outward move clips back and drops.
+        net = zero_net()
+        lo, hi = _query_region(net, VerificationQuery.for_point(net, [0.5, 0.5], 0.25))
+        got = gen_neighbors([0.5, 0.75], 0.125, lo, hi)
         assert not any(np.array_equal(c, [0.5, 0.875]) for c in got)
         assert len(got) == 3
 
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError, match="step"):
-            gen_neighbors([0.5], 0.0, [0.5], 0.1, [0.0], [1.0])
+            gen_neighbors([0.5], 0.0, [0.4], [0.6])
 
 
 class TestGreedySearch:
@@ -60,7 +61,7 @@ class TestGreedySearch:
         # Margin is constant, so no neighbor ever improves: the step
         # halves from delta / 2 down to delta / 1024, 10 rounds, never moving.
         net = constant_margin_net(gap=1.0, n_inputs=2)
-        out = greedy_search(net, [0.5, 0.5], 0.1, record_trace=True)
+        out = greedy_search(net, VerificationQuery.for_point(net, [0.5, 0.5], 0.1), record_trace=True)
         assert not out.found
         assert out.iterations == 10
         steps = [row[0] for row in out.trace]
@@ -73,13 +74,13 @@ class TestGreedySearch:
         # inside the ball is impossible; the search may still descend.
         base = random_network([2, 6, 2], 10)
         net = dominate_class(base, target_margin=1.0)
-        out = greedy_search(net, [0.5, 0.5], 0.1, record_trace=True)
+        out = greedy_search(net, VerificationQuery.for_point(net, [0.5, 0.5], 0.1), record_trace=True)
         assert not out.found
         assert_valid_trace(out.trace)
 
     def test_flip_net_finds_counter_example(self):
         net = flip_net()
-        out = greedy_search(net, [0.4], 0.2)
+        out = greedy_search(net, VerificationQuery.for_point(net, [0.4], 0.2))
         assert out.found
         ce = out.counter_example
         assert ce[0] >= 0.5  # the label flips exactly at 0.5
@@ -92,7 +93,7 @@ class TestGreedySearch:
         moves = 0
         for _ in range(40):
             x0 = rng.uniform(0, 1, size=2)
-            out = greedy_search(net, x0, 0.05, record_trace=True)
+            out = greedy_search(net, VerificationQuery.for_point(net, x0, 0.05), record_trace=True)
             moves += assert_valid_trace(out.trace)
         assert moves > 0
 
@@ -106,16 +107,14 @@ class TestGreedySearch:
                 x0 = rng.uniform(0, 1, size=2)
                 delta = float(rng.uniform(0.02, 0.2))
                 queries += 1
-                out = greedy_search(net, x0, delta)
+                query = VerificationQuery.for_point(net, x0, delta, time_budget=10.0)
+                out = greedy_search(net, query)
                 if out.found:
                     hits += 1
                     assert classify(net, out.counter_example) != classify(net, x0)
                     assert np.abs(out.counter_example - x0).max() <= delta
                     assert net.contains(out.counter_example)
                 else:
-                    query = VerificationQuery.for_point(
-                        net, x0, delta, time_budget=10.0
-                    )
                     verdict = verify_local_robustness(net, query)
                     assert verdict.kind in (
                         VerdictKind.SAT,
@@ -129,8 +128,9 @@ class TestGreedySearch:
 
     def test_pure_function(self):
         net = random_network([3, 6, 3], 17)
-        a = greedy_search(net, [0.2, 0.8, 0.5], 0.1, record_trace=True)
-        b = greedy_search(net, [0.2, 0.8, 0.5], 0.1, record_trace=True)
+        query = VerificationQuery.for_point(net, [0.2, 0.8, 0.5], 0.1)
+        a = greedy_search(net, query, record_trace=True)
+        b = greedy_search(net, query, record_trace=True)
         assert a.iterations == b.iterations
         assert a.trace == b.trace
         if a.found:
@@ -138,17 +138,20 @@ class TestGreedySearch:
 
     def test_zero_net_never_finds(self):
         # Ties break toward label 0 everywhere: no flip exists.
-        out = greedy_search(zero_net(), [0.5, 0.5], 0.25)
+        net = zero_net()
+        out = greedy_search(net, VerificationQuery.for_point(net, [0.5, 0.5], 0.25))
         assert not out.found
 
-    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), 0.0, -0.1])
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf"), 0.0, -0.1])
     def test_bad_delta_is_refused(self, delta):
+        # The query refuses it before any stage can see it.
+        net = flip_net()
         with pytest.raises(ValueError, match="delta"):
-            greedy_search(flip_net(), [0.4], delta)
+            greedy_search(net, VerificationQuery.for_point(net, [0.4], delta))
 
     def test_final_margin_reported(self):
         net = flip_net()
-        out = greedy_search(net, [0.4], 0.2)
+        out = greedy_search(net, VerificationQuery.for_point(net, [0.4], 0.2))
         assert out.final_margin == margin(net, out.counter_example)
 
 
@@ -168,8 +171,9 @@ class TestAgainstReference:
     ):
         net = random_network([inputs, hidden, outputs], net_seed, weight_scale=scale)
         x0 = np.random.default_rng(point_seed).uniform(0, 1, size=inputs)
-        got = greedy_search(net, x0, delta, record_trace=True)
-        want = reference_greedy_search(net, x0, delta, record_trace=True)
+        query = VerificationQuery.for_point(net, x0, delta)
+        got = greedy_search(net, query, record_trace=True)
+        want = reference_greedy_search(net, query, record_trace=True)
         assert got.found == want.found
         if want.found:
             assert np.array_equal(got.counter_example, want.counter_example)

@@ -249,6 +249,23 @@ class TestRunCampaign:
         with pytest.raises(ReportFormatError, match="witness"):
             audit_report(load_network(flip_net_path), report)
 
+    @pytest.mark.parametrize(
+        "seed, delta, message",
+        [
+            ((0.4, 0.4), 0.2, "shape"),
+            ((math.nan,), 0.2, "x0 must be finite"),
+            ((0.4,), -0.2, "delta must be positive"),
+        ],
+        ids=["wrong-length-seed", "non-finite-seed", "negative-delta"],
+    )
+    def test_audit_rejects_a_row_that_makes_no_query(self, seed, delta, message):
+        report = CampaignReport(
+            mode="bg", delta=delta, rng_seed=0, net_path="flip.relunet",
+            records=[RunRecord(3, "bg", seed, 0.2, "sat", True, (0.55,), None, 1.0)],
+        )
+        with pytest.raises(ReportFormatError, match=f"run 3: .*{message}"):
+            audit_report(flip_net(), report)
+
 
 class TestReportFiles:
     def _make_report(self, flip_net_path):

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from achilles import (
     NetworkFormatError,
-    ball_region,
     classify,
     classify_batch,
     format_float,
@@ -21,7 +20,6 @@ from achilles import (
     margin_batch,
     nn,
     parse_network,
-    perturbation_region,
     random_network,
     save_network,
     top_gap,
@@ -532,39 +530,3 @@ class TestContractionProperties:
         m_y = margin_batch(net, ys)
         dists = np.abs(xs - ys).max(axis=1)
         assert (np.abs(m_x - m_y) <= 2 * bound * dists + 1e-12).all()
-
-
-class TestPerturbationRegion:
-    def test_clipped_to_box(self):
-        # Dyadic coordinates so the expected bounds are float-exact.
-        net = zero_net()
-        lo, hi = perturbation_region(net, [0.25, 0.875], 0.5)
-        assert np.array_equal(lo, [0.0, 0.375])
-        assert np.array_equal(hi, [0.75, 1.0])
-
-    def test_bounds_stay_within_radius(self):
-        net = zero_net(lower=-10.0, upper=10.0)
-        x0 = np.array([0.1, 0.3])
-        lo, hi = perturbation_region(net, x0, 0.2)
-        assert (np.abs(lo - x0) <= 0.2).all()
-        assert (np.abs(hi - x0) <= 0.2).all()
-
-    def test_disjoint_ball_rejected(self):
-        net = zero_net()
-        with pytest.raises(ValueError, match="does not intersect"):
-            perturbation_region(net, [5.0, 5.0], 0.5)
-
-    @pytest.mark.parametrize("radius", [-0.5, math.nan, -math.inf])
-    def test_negative_or_nan_radius_rejected(self, radius):
-        with pytest.raises(ValueError, match="non-negative"):
-            perturbation_region(zero_net(), [0.5, 0.5], radius)
-        with pytest.raises(ValueError, match="non-negative"):
-            ball_region([0.5, 0.5], radius, [0.0, 0.0], [1.0, 1.0])
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_center_rejected(self, bad):
-        # NaN fails every comparison, so the bounds would come back NaN.
-        with pytest.raises(ValueError, match="center must be finite"):
-            perturbation_region(zero_net(), [bad, 0.5], 0.1)
-        with pytest.raises(ValueError, match="center must be finite"):
-            ball_region([bad, 0.5], 0.1, [0.0, 0.0], [1.0, 1.0])

@@ -1,7 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from achilles import (
     GridOutcome,
@@ -11,6 +13,7 @@ from achilles import (
     classify,
     classify_batch,
     forward_batch,
+    greedy_search,
     grid_oracle,
     interval_bounds,
     lipschitz_bound,
@@ -19,6 +22,7 @@ from achilles import (
     random_network,
     verify_local_robustness,
 )
+from achilles.verifier import _certification_gap, _query_region
 from helpers import flip_net, net_from_lists, rational_forward, zero_net
 
 
@@ -97,6 +101,65 @@ class TestIntervalBounds:
             interval_bounds(zero_net(), [0.0, 0.0], [0.5, bad])
 
 
+class TestQueryRegion:
+    def test_clipped_to_box(self):
+        # Dyadic coordinates so the expected bounds are float-exact.
+        net = zero_net()
+        lo, hi = _query_region(net, VerificationQuery.for_point(net, [0.25, 0.875], 0.5))
+        assert np.array_equal(lo, [0.0, 0.375])
+        assert np.array_equal(hi, [0.75, 1.0])
+
+    def test_bounds_stay_within_delta(self):
+        net = zero_net(lower=-10.0, upper=10.0)
+        x0 = np.array([0.1, 0.3])
+        lo, hi = _query_region(net, VerificationQuery.for_point(net, x0, 0.2))
+        assert (np.abs(lo - x0) <= 0.2).all()
+        assert (np.abs(hi - x0) <= 0.2).all()
+
+    @settings(deadline=None)
+    @given(
+        dims=st.integers(1, 3),
+        lower=st.floats(-1e6, 1e6),
+        width=st.floats(0.0, 1e6),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+        delta=st.floats(0.0, 1e6, exclude_min=True),
+    )
+    @example(dims=2, lower=-10.0, width=20.0, fractions=[0.505, 0.515, 0.0], delta=0.2)
+    def test_every_corner_within_delta_and_inside_input_box(
+        self, dims, lower, width, fractions, delta
+    ):
+        net = zero_net(sizes=(dims, 2, 2), lower=lower, upper=lower + width)
+        x0 = np.minimum(lower + width * np.array(fractions[:dims]), net.input_upper)
+        lo, hi = _query_region(net, VerificationQuery.for_point(net, x0, delta))
+        for corner in itertools.product(*zip(lo, hi)):
+            corner = np.array(corner)
+            assert np.abs(corner - x0).max() <= delta
+            assert net.contains(corner)
+
+    def test_disjoint_ball_rejected(self):
+        net = zero_net()
+        with pytest.raises(ValueError, match="does not intersect"):
+            _query_region(net, VerificationQuery.for_point(net, [5.0, 5.0], 0.5))
+
+
+class TestCertificationGap:
+    def test_rows_match_single_boxes(self):
+        rng = np.random.default_rng(3)
+        lo = rng.standard_normal((5, 4))
+        hi = lo + rng.uniform(0, 1, size=(5, 4))
+        gaps = _certification_gap(lo, hi, 2)
+        assert gaps.shape == (5,)
+        for row, gap in enumerate(gaps):
+            assert _certification_gap(lo[row], hi[row], 2) == gap
+            assert gap == lo[row, 2] - np.delete(hi[row], 2).max()
+
+    def test_single_output_net_is_unsat(self):
+        net = net_from_lists([[[1.0]], [[1.0]]], [[0.0], [0.0]], [0.0], [1.0])
+        query = VerificationQuery.for_point(net, [0.5], 0.25)
+        assert verify_local_robustness(net, query).kind is VerdictKind.UNSAT
+        assert grid_oracle(net, query, spacing=0.01).outcome is GridOutcome.UNSAT
+
+
 class TestVerify:
     def test_lipschitz_safe_radius_is_unsat_at_root(self):
         net = flip_net()
@@ -129,9 +192,7 @@ class TestVerify:
                 query, verdict = candidate, result
                 break
         assert verdict is not None, "no UNSAT query found to falsify"
-        from achilles.nn import perturbation_region
-
-        lo, hi = perturbation_region(net, query.x0, query.delta)
+        lo, hi = _query_region(net, query)
         points = rng.uniform(lo, hi, size=(100_000, 2))
         assert (classify_batch(net, points) == query.label0).all()
 
@@ -184,11 +245,12 @@ class TestVerify:
         assert check_witness(net, query, verdict.witness)
 
     def test_label_consistency_checked(self):
+        # flip_net labels 0.4 as class 1; every stage refuses label 0.
         net = flip_net()
-        with pytest.raises(ValueError, match="label"):
-            verify_local_robustness(
-                net, VerificationQuery(x0=np.array([0.4]), delta=0.1, label0=0)
-            )
+        query = VerificationQuery(x0=np.array([0.4]), delta=0.1, label0=0)
+        for stage in (_query_region, greedy_search, verify_local_robustness):
+            with pytest.raises(ValueError, match="not the network's label"):
+                stage(net, query)
 
     def test_nan_time_budget_rejected(self):
         # NaN compares False against every bound, so the budget check
