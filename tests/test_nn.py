@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from achilles import (
     NetworkFormatError,
+    VerificationQuery,
     classify,
     classify_batch,
     format_float,
@@ -24,6 +25,7 @@ from achilles import (
     save_network,
     top_gap,
 )
+from achilles.verifier import _query_region
 from helpers import (
     fd_gradient,
     net_from_lists,
@@ -530,3 +532,21 @@ class TestContractionProperties:
         m_y = margin_batch(net, ys)
         dists = np.abs(xs - ys).max(axis=1)
         assert (np.abs(m_x - m_y) <= 2 * bound * dists + 1e-12).all()
+
+
+class TestPerturbationRegion:
+    # The perturbation region of a point is the verifier's query box, so
+    # a bad radius or centre is refused when the query is built.
+    @pytest.mark.parametrize("radius", [-0.5, math.nan])
+    def test_negative_or_nan_radius_rejected(self, radius):
+        net = zero_net()
+        with pytest.raises(ValueError, match="delta must be positive"):
+            _query_region(net, VerificationQuery.for_point(net, [0.5, 0.5], radius))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_center_rejected(self, bad):
+        # NaN fails every comparison, so the bounds would come back NaN.
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            _query_region(
+                zero_net(), VerificationQuery(x0=np.array([bad, 0.5]), delta=0.1, label0=0)
+            )
