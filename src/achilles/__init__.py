@@ -52,7 +52,6 @@ from .seeding import (
     SeedSearchExhausted,
     SeedingConfig,
     ThresholdState,
-    draw_sample_set,
     generate_seed,
     make_threshold_state,
     random_sample,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import Network, _as_input, _backward, _layer_outputs, format_float, gradient
+from .nn import Network, _as_input, _backward, _layer_values, format_float, gradient
 from .seeding import (
     SeedSearchExhausted,
     SeedingConfig,
@@ -80,12 +80,12 @@ def attack(net: Network, x, config: AttackConfig) -> AttackResult:
     """
     layers = net._layers
     current = _as_input(net, x)
-    outputs = _layer_outputs(layers, current)
-    label0 = int(np.argmax(outputs[-1]))
+    outputs = []
+    label0 = int(np.argmax(_layer_values(layers, current, outputs)))
     for step in range(1, config.epo + 1):
         current = _signed_step(net, current, _backward(layers, outputs, label0), config.eps)
-        outputs = _layer_outputs(layers, current)
-        if int(np.argmax(outputs[-1])) != label0:
+        outputs = []
+        if int(np.argmax(_layer_values(layers, current, outputs))) != label0:
             assert net.contains(current)
             return AttackResult(success=True, adversarial=current, steps_used=step)
     return AttackResult(success=False, adversarial=None, steps_used=config.epo)

@@ -19,10 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import AttackConfig, export_seed_list, run_attack_campaign
+from .attacks import SELECTIONS, AttackConfig, export_seed_list, run_attack_campaign
 from .harness import CampaignSpec, Mode, ReportFormatError, report_write, run_campaign
 from .nn import NetworkFormatError, format_float, format_network, load_network, random_network, save_network
-from .seeding import SeedingConfig
+from .seeding import THRESHOLD_STRATEGIES, SeedingConfig
 from .verifier import GridOutcome, VerificationQuery, grid_oracle
 
 USAGE_ERROR = 1
@@ -50,17 +50,19 @@ def _build_parser() -> argparse.ArgumentParser:
     stop = verify.add_mutually_exclusive_group(required=True)
     stop.add_argument("--budget", type=float, help="campaign time budget in seconds")
     stop.add_argument("--find", type=int, help="stop after this many counter-examples")
-    verify.add_argument("--timeout", type=float, default=60.0, help="per-query timeout seconds")
+    verify.add_argument(
+        "--timeout", type=float, default=CampaignSpec.per_query_timeout, help="per-query timeout seconds"
+    )
     verify.add_argument("--seed", type=int, default=0, help="RNG seed")
     verify.add_argument("--repeats", type=int, default=1, help="independent repetitions")
     verify.add_argument("--out", required=True, help="report output directory")
-    verify.add_argument("--col-num", type=int, default=1000)
-    verify.add_argument("--sample-set-size", type=int, default=1000)
-    verify.add_argument("--strategy", choices=["minimum", "average"], default="minimum")
+    verify.add_argument("--col-num", type=int, default=SeedingConfig.col_num)
+    verify.add_argument("--sample-set-size", type=int, default=SeedingConfig.sample_set_size)
+    verify.add_argument("--strategy", choices=THRESHOLD_STRATEGIES, default=SeedingConfig.threshold_strategy)
 
     attack = sub.add_parser("attack", help="run an attack campaign")
     attack.add_argument("--net", required=True)
-    attack.add_argument("--selection", required=True, choices=["r", "b"])
+    attack.add_argument("--selection", required=True, choices=SELECTIONS)
     attack.add_argument("--eps", required=True, type=float)
     attack.add_argument("--epo", required=True, type=int)
     attack.add_argument("--inputs", required=True, type=int)

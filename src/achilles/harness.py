@@ -83,7 +83,7 @@ class CampaignSpec:
     delta: float
     time_budget: float | None = None
     target_counterexamples: int | None = None
-    per_query_timeout: float = 60.0
+    per_query_timeout: float = VerificationQuery.time_budget
     rng_seed: int = 0
     seeding: SeedingConfig = field(default_factory=SeedingConfig)
 
@@ -163,7 +163,7 @@ def run_query(
     rng: np.random.Generator,
     index: int = 0,
     threshold_state: ThresholdState | None = None,
-    per_query_timeout: float = 60.0,
+    per_query_timeout: float = VerificationQuery.time_budget,
 ) -> RunRecord:
     """Seed, optionally pre-search, then verify; errors land in the record.
 

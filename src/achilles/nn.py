@@ -212,19 +212,13 @@ def _layer_values(layers, a: np.ndarray, outputs: list | None = None) -> np.ndar
     return a
 
 
-def _layer_outputs(layers, a: np.ndarray) -> list[np.ndarray]:
-    """Every layer's output at one validated input row, the output values last.
+def _backward(layers, outputs: list[np.ndarray], target_label: int) -> np.ndarray:
+    """Input gradient of ``output[target_label]`` from the layer outputs
+    ``_layer_values`` appends, the output values last.
 
     A hidden output, taken after ReLU, is ``> 0`` exactly where its
-    pre-activation is, which is all ``_backward`` needs.
+    pre-activation is, which is all the ReLU derivative needs.
     """
-    outputs = []
-    _layer_values(layers, a, outputs)
-    return outputs
-
-
-def _backward(layers, outputs: list[np.ndarray], target_label: int) -> np.ndarray:
-    """Input gradient of ``output[target_label]`` from ``_layer_outputs``."""
     v = np.zeros(outputs[-1].shape[0])
     v[target_label] = 1.0
     v = layers[-1][0].T @ v
@@ -324,7 +318,9 @@ def gradient(net: Network, x, target_label: int) -> np.ndarray:
         raise IndexError(
             f"label {target_label} out of range for {net.output_size} outputs"
         )
-    return _backward(net._layers, _layer_outputs(net._layers, x), target_label)
+    outputs = []
+    _layer_values(net._layers, x, outputs)
+    return _backward(net._layers, outputs, target_label)
 
 
 def lipschitz_bound(net: Network) -> float:

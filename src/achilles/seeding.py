@@ -25,7 +25,6 @@ __all__ = [
     "SeedSearchExhausted",
     "SeedingConfig",
     "ThresholdState",
-    "draw_sample_set",
     "generate_seed",
     "make_threshold_state",
     "random_sample",
@@ -83,28 +82,18 @@ class ThresholdState:
     samples_drawn: int = 0
 
 
-def random_sample(net: Network, rng: np.random.Generator) -> np.ndarray:
-    """One point, each coordinate uniform over its input-box interval."""
-    return _uniform_points(net, rng, net.input_size)
-
-
-def _uniform_points(net: Network, rng: np.random.Generator, shape) -> np.ndarray:
-    """``lower + width * u`` with ``u`` from ``rng.random(shape)``, the last
-    axis being the input's.
+def random_sample(net: Network, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """One point, or a ``(size, input_size)`` block of them, each coordinate
+    uniform over its input-box interval: ``lower + width * u`` with ``u``
+    from ``rng.random``.
 
     NumPy rounds the multiply and the add separately, so the bits are the
     same on every IEEE-754 build.  One double is taken per coordinate in C
-    order: row ``j`` of a ``(k, input_size)`` block has the bits of the
-    ``j``-th of ``k`` single-point draws.
+    order: row ``j`` of a block of ``k`` has the bits of the ``j``-th of
+    ``k`` single-point draws.
     """
+    shape = net.input_size if size is None else (size, net.input_size)
     return net.input_lower + net._input_width * rng.random(shape)
-
-
-def draw_sample_set(net: Network, rng: np.random.Generator, size: int = DEFAULT_SAMPLE_SET_SIZE) -> np.ndarray:
-    """An ``(size, input_size)`` array of independent uniform points."""
-    if size < 1:
-        raise ValueError("sample set size must be positive")
-    return _uniform_points(net, rng, (size, net.input_size))
 
 
 def make_threshold_state(net: Network, rng: np.random.Generator, config: SeedingConfig | None = None) -> ThresholdState:
@@ -120,7 +109,9 @@ def make_threshold_state(net: Network, rng: np.random.Generator, config: Seeding
     cfg = config or SeedingConfig()
     if cfg.threshold_strategy not in THRESHOLD_STRATEGIES:
         raise ValueError(f"unknown threshold strategy {cfg.threshold_strategy!r}")
-    margins = margin_batch(net, draw_sample_set(net, rng, cfg.sample_set_size))
+    if cfg.sample_set_size < 1:
+        raise ValueError("sample set size must be positive")
+    margins = margin_batch(net, random_sample(net, rng, cfg.sample_set_size))
     value = float(margins.min())
     if cfg.threshold_strategy == "average":
         # Infinite margins (a single-output net) give a NaN bar, which is
@@ -164,7 +155,7 @@ def generate_seed(
             k = min(_BLOCK, left)
             left -= k
             start = rng.bit_generator.state
-            block = _uniform_points(net, rng, (k, d))
+            block = random_sample(net, rng, k)
             for j, x in enumerate(block):
                 if collisions > col_num:
                     threshold *= ESCALATION_FACTOR

@@ -23,7 +23,6 @@ from achilles import (
     VerificationQuery,
     check_witness,
     classify,
-    draw_sample_set,
     forward_batch,
     format_network,
     generate_seed,
@@ -35,6 +34,7 @@ from achilles import (
     margin_batch,
     parse_network,
     random_network,
+    random_sample,
     report_digest,
     report_read,
     report_write,
@@ -223,7 +223,7 @@ class TestCriterion4:
         for i in range(10):
             net = random_network([4, 10, 10, 3], 4400 + i)
             rng = np.random.default_rng(4400 + i)
-            random_margins = margin_batch(net, draw_sample_set(net, rng, 200))
+            random_margins = margin_batch(net, random_sample(net, rng, 200))
             state = make_threshold_state(net, rng, SeedingConfig(sample_set_size=500, col_num=200))
             weak = np.stack([generate_seed(net, state, rng) for _ in range(200)])
             weak_margins = margin_batch(net, weak)

@@ -7,7 +7,6 @@ from achilles import (
     attack,
     attacks,
     classify,
-    draw_sample_set,
     export_seed_list,
     fgsm_step,
     gradient,
@@ -201,7 +200,7 @@ class TestCampaign:
         result = run_attack_campaign(net, 5, AttackConfig(eps=0.1, epo=1), "b", 0, seeding)
         assert result.attempts == 5
         rng = np.random.default_rng(0)
-        draw_sample_set(net, rng, seeding.sample_set_size)
+        random_sample(net, rng, seeding.sample_set_size)
         assert result.seeds.tolist() == [random_sample(net, rng).tolist() for _ in range(5)]
 
     def test_input_validation(self):

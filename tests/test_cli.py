@@ -74,6 +74,18 @@ class TestVerify:
         assert len(top["repeats"]) == 2
         assert "rate" in top["mean"]
 
+    def test_zero_repeats_is_usage_error(self, flip_net_path, tmp_path, capsys):
+        out = tmp_path / "r"
+        code = main(
+            [
+                "verify", "--net", flip_net_path, "--mode", "r", "--delta", "0.1",
+                "--find", "1", "--repeats", "0", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "--repeats must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_budget_and_find_are_exclusive(self, flip_net_path, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(
@@ -283,3 +295,26 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--mode", "r"])
         assert exc.value.code == 1
+
+    def test_verify_defaults_are_the_library_defaults(self):
+        args = cli._build_parser().parse_args(
+            ["verify", "--net", "n", "--mode", "b", "--delta", "0.1", "--find", "1", "--out", "o"]
+        )
+        assert (args.timeout, args.sample_set_size, args.col_num, args.strategy) == (
+            60.0, 1000, 1000, "minimum"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--net", "n", "--mode", "b", "--delta", "0.1", "--find", "1", "--out", "o",
+             "--strategy", "median"],
+            ["attack", "--net", "n", "--selection", "g", "--eps", "0.1", "--epo", "1", "--inputs", "1"],
+        ],
+        ids=["strategy", "selection"],
+    )
+    def test_unknown_choice_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "invalid choice" in capsys.readouterr().err

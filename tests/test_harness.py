@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -97,6 +98,10 @@ class TestCampaignSpec:
                 net_path="x", mode=Mode.R, delta=0.1, target_counterexamples=1,
                 per_query_timeout=value,
             )
+
+    def test_negative_target_rejected(self):
+        with pytest.raises(ValueError, match="target_counterexamples"):
+            CampaignSpec(net_path="x", mode=Mode.R, delta=0.1, target_counterexamples=-1)
 
     def test_delta_positive(self):
         with pytest.raises(ValueError, match="delta"):
@@ -267,6 +272,23 @@ class TestRunCampaign:
             audit_report(flip_net(), report)
 
 
+    def test_audit_skips_non_sat_rows_and_needs_a_witness(self):
+        # Rows that are not SAT are not re-validated, so seeds that make no
+        # query pass; a SAT row with an empty witness cell does not.
+        report = CampaignReport(
+            mode="bg", delta=0.2, rng_seed=0, net_path="flip.relunet",
+            records=[
+                RunRecord(0, "bg", (), math.nan, "error", False, None, "boom", 1.0),
+                RunRecord(1, "bg", (0.4, 0.4), 0.2, "unsat", False, None, None, 1.0),
+                RunRecord(2, "bg", (math.nan,), 0.2, "unknown", False, None, "budget", 1.0),
+            ],
+        )
+        audit_report(flip_net(), report)
+        report.records.append(RunRecord(3, "bg", (0.4,), 0.2, "sat", True, None, None, 1.0))
+        with pytest.raises(ReportFormatError, match="run 3: SAT without witness"):
+            audit_report(flip_net(), report)
+
+
 class TestReportFiles:
     def _make_report(self, flip_net_path):
         spec = CampaignSpec(
@@ -345,6 +367,24 @@ class TestReportFiles:
         summary = json.loads((out / "summary.json").read_text())
         (out / "summary.json").write_text(json.dumps(edit(summary)))
         with pytest.raises(ReportFormatError, match="summary"):
+            report_read(out)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rows: [rows[0][:-1]] + rows[1:], "unexpected CSV header"),
+            (lambda rows: rows[:-1] + [rows[-1][:-1]], "bad CSV row"),
+            (lambda rows: rows[:-1] + [rows[-1][:3] + ["one"] + rows[-1][4:]], "malformed runs.csv"),
+        ],
+        ids=["wrong-header", "short-row", "unparseable-float"],
+    )
+    def test_malformed_runs_rejected(self, tmp_path, edit, message):
+        out = report_write(error_and_unknown_report(), tmp_path / "report")
+        with open(out / "runs.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        with open(out / "runs.csv", "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows(edit(rows))
+        with pytest.raises(ReportFormatError, match=message):
             report_read(out)
 
     def test_absent_summary_keys_take_defaults(self, tmp_path):

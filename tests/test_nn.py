@@ -113,6 +113,24 @@ class TestLoader:
         with pytest.raises(NetworkFormatError, match="trailing"):
             parse_network(MINIMAL_FILE + "1 2 3\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty network file"),
+            ("# a comment\n\n", "empty network file"),
+            (MINIMAL_FILE.replace("2 2 2", "2 two 2"), "line 2: layer sizes must be integers"),
+            (MINIMAL_FILE.replace("2 2 2", "2 2.5 2"), "line 2: layer sizes must be integers"),
+            (MINIMAL_FILE.replace("2 2 2", "2 0 2"), "line 2: all layer sizes must be >= 1"),
+            (MINIMAL_FILE.replace("0 0\n1 1", "0 2\n1 1"), "line 4: input lower bound exceeds upper"),
+            (MINIMAL_FILE.replace("0 0\n1 1", "0 0\n1 one"), "line 4: input upper bounds: could not convert"),
+        ],
+        ids=["empty", "only-comments", "word-size", "fractional-size", "zero-size", "lower-above-upper",
+             "unparseable-float"],
+    )
+    def test_malformed_file_rejected(self, text, message):
+        with pytest.raises(NetworkFormatError, match=message):
+            parse_network(text)
+
     def test_comments_and_blanks_ignored(self):
         commented = "# generated\n" + MINIMAL_FILE.replace(
             "2 2 2", "2 2 2  # sizes"

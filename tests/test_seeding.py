@@ -11,7 +11,6 @@ from achilles import (
     SeedSearchExhausted,
     SeedingConfig,
     ThresholdState,
-    draw_sample_set,
     generate_seed,
     make_threshold_state,
     margin,
@@ -69,7 +68,7 @@ class TestRandomSample:
 
         for _ in range(5):
             assert random_sample(net, ours).tobytes() == np.array(reference_point()).tobytes()
-        got = draw_sample_set(net, ours, 7)
+        got = random_sample(net, ours, 7)
         assert got.tobytes() == np.array([reference_point() for _ in range(7)]).tobytes()
         assert ours.bit_generator.state == twin.bit_generator.state
 
@@ -80,7 +79,7 @@ class TestRandomSample:
         net = zero_net(sizes=(3, 2, 2), lower=-2.0, upper=3.0)
         rng = np.random.default_rng(8)
         point = random_sample(net, rng)
-        block = draw_sample_set(net, rng, 3)
+        block = random_sample(net, rng, 3)
         pinned = [
             "-0x1.75e6e5c99be88p-2", "0x1.77db702196156p+1", "-0x1.a033546c7ab68p-2",
             "0x1.f157b71d36902p+0", "0x1.2cbbd82f996d4p+1", "-0x1.6d2a9438449c0p-5",
@@ -95,14 +94,14 @@ class TestRandomSample:
     def test_law_of_large_numbers(self):
         net = zero_net(sizes=(1, 2, 2))
         rng = np.random.default_rng(123)
-        samples = draw_sample_set(net, rng, 100_000)
+        samples = random_sample(net, rng, 100_000)
         assert abs(samples.mean() - 0.5) < 0.01
 
 
 def _sample_set_and_state(net, seed, **config):
     """The sample set ``make_threshold_state`` draws from ``seed``, and the state."""
     cfg = SeedingConfig(**config)
-    samples = draw_sample_set(net, np.random.default_rng(seed), cfg.sample_set_size)
+    samples = random_sample(net, np.random.default_rng(seed), cfg.sample_set_size)
     return samples, make_threshold_state(net, np.random.default_rng(seed), cfg)
 
 
@@ -127,16 +126,18 @@ class TestComputeThreshold:
     def test_empty_sample_set(self):
         with pytest.raises(ValueError, match="positive"):
             SeedingConfig(sample_set_size=0)
-        with pytest.raises(ValueError, match="positive"):
-            draw_sample_set(ramp_net(), np.random.default_rng(0), 0)
+        # A field reassigned after the config was built is refused too.
+        cfg = SeedingConfig()
+        for size in (0, -1):
+            cfg.sample_set_size = size
+            with pytest.raises(ValueError, match="positive"):
+                make_threshold_state(ramp_net(), np.random.default_rng(0), cfg)
 
     def test_matches_brute_force_scan(self):
-        # The scan evaluates point by point while make_threshold_state uses
-        # a batch; BLAS rounding differs between the two by a few ulps.
+        # Every row of the batch has the bits of its own single-point pass.
         net = random_network([2, 4, 2], 55)
         samples, state = _sample_set_and_state(net, 55)
-        brute = min(margin(net, x) for x in samples)
-        assert abs(state.threshold - brute) < 1e-12
+        assert state.threshold == min(margin(net, x) for x in samples)
 
     def test_average_strategy_formula(self):
         net = random_network([2, 4, 2], 56)
@@ -403,7 +404,7 @@ class TestDistributionEffect:
     def test_weak_seeds_have_lower_margins(self):
         net = random_network([4, 10, 10, 3], 2001)
         rng = np.random.default_rng(2001)
-        random_margins = margin_batch(net, draw_sample_set(net, rng, 200))
+        random_margins = margin_batch(net, random_sample(net, rng, 200))
         state = make_threshold_state(net, rng, SeedingConfig(col_num=200))
         weak = [generate_seed(net, state, rng) for _ in range(200)]
         weak_margins = margin_batch(net, np.stack(weak))

@@ -20,6 +20,7 @@ from achilles import (
     margin,
     nn,
     random_network,
+    random_sample,
     verify_local_robustness,
 )
 from achilles.verifier import _certification_gap, _query_region
@@ -272,6 +273,26 @@ class TestVerify:
                 net, VerificationQuery(x0=np.array([3.0]), delta=0.5, label0=0)
             )
 
+    def test_sampled_corner_probe_is_reproducible(self):
+        # Past 8 inputs the probe samples corners from a stream of its own.
+        # These queries settle in under 1,000 boxes, far inside the budget.
+        net = random_network([10, 16, 16, 3], 700)
+        rng = np.random.default_rng(0)
+        points = [random_sample(net, rng) for _ in range(8)][2:]
+        sat_depths = []
+        for x0 in points:
+            query = VerificationQuery.for_point(net, x0, 0.02, time_budget=60.0)
+            first, second = (verify_local_robustness(net, query) for _ in range(2))
+            assert first.kind is not VerdictKind.UNKNOWN
+            assert second.kind is first.kind
+            assert second.boxes_explored == first.boxes_explored
+            if first.kind is VerdictKind.SAT:
+                assert check_witness(net, query, first.witness)
+                assert second.witness.tobytes() == first.witness.tobytes()
+                sat_depths.append(first.max_depth)
+        # At least one witness lies below the root, after many sampled probes.
+        assert sat_depths and max(sat_depths) > 0
+
     def test_stats_populated(self):
         net = flip_net()
         verdict = verify_local_robustness(
@@ -386,3 +407,24 @@ class TestCheckWitness:
         query = VerificationQuery.for_point(net, [0.2], 0.1)
         assert classify(net, [0.8]) != query.label0
         assert not check_witness(net, query, [0.8])  # flips, but outside the ball
+
+    def test_rejects_wrong_shape(self):
+        net = flip_net()
+        query = VerificationQuery.for_point(net, [0.4], 0.2)
+        for point in ([0.55, 0.55], [[0.55]], 0.55):
+            assert not check_witness(net, query, point)
+
+    def test_rejects_a_flip_one_coordinate_beyond_delta(self):
+        # Outputs (x + 1, 1 - x) on [-1, 1]^2: the label flips at x = 0.
+        net = net_from_lists([[[1.0, 0.0]], [[1.0], [-1.0]]], [[1.0], [0.0, 2.0]], [-1.0, -1.0], [1.0, 1.0])
+        query = VerificationQuery.for_point(net, [0.1, 0.0], 0.2)
+        assert classify(net, [-0.05, 0.0]) != query.label0
+        assert check_witness(net, query, [-0.05, 0.2])
+        assert not check_witness(net, query, [-0.05, np.nextafter(0.2, 1.0)])
+
+    def test_rejects_a_flip_outside_the_input_box(self):
+        # Outputs (relu(x), 0.5 - relu(x)) on [0, 1]: every x < 0.25 has label 1.
+        net = net_from_lists([[[1.0]], [[1.0], [-1.0]]], [[0.0], [0.0, 0.5]], [0.0], [1.0])
+        query = VerificationQuery.for_point(net, [0.3], 0.4)
+        assert classify(net, [-0.05]) != query.label0
+        assert not check_witness(net, query, [-0.05])  # within delta, below the box
