@@ -193,8 +193,8 @@ def main(argv=None) -> int:
     except (NetworkFormatError, ReportFormatError, OSError) as exc:
         print(f"achilles: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except ValueError as exc:
-        print(f"achilles: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        print(f"achilles: {str(exc) or 'out of memory'}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -165,7 +165,8 @@ class Network:
 def _interval_layer(w: np.ndarray, b: np.ndarray, hidden: bool) -> tuple:
     """``(w_pos, w_neg, b, err_w, err_b, hidden)``: the positive and negative
     parts of ``w``, and ``err_w @ max(|lo|, |hi|) + err_b``, a bound on the
-    rounding error of ``w_pos @ lo + w_neg @ hi + b``.
+    rounding error of ``w_pos @ lo + w_neg @ hi + b``.  ``b`` and ``err_b``
+    are ``(m, 1)`` columns, to broadcast over ``(n, m, 1)`` stacks of boxes.
 
     Over n inputs that error is at most gamma_{n+2} * (|w| @ max(|lo|, |hi|)
     + |b|) plus n + 2 underflows (Higham 2002, section 3.1); k = 2 * (n + 2)
@@ -178,9 +179,9 @@ def _interval_layer(w: np.ndarray, b: np.ndarray, hidden: bool) -> tuple:
     return (
         _frozen_array(np.maximum(w, 0.0)),
         _frozen_array(np.minimum(w, 0.0)),
-        b,
+        b[:, np.newaxis],
         _frozen_array(gamma * np.abs(w)),
-        _frozen_array(gamma * np.abs(b) + tiny),
+        _frozen_array((gamma * np.abs(b) + tiny)[:, np.newaxis]),
         hidden,
     )
 

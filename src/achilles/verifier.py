@@ -108,21 +108,25 @@ class Verdict:
 
 
 def _propagate(layers, lo, hi):
+    """Interval bounds of each row's box in the C-order ``(n, d)`` stacks
+    ``lo`` and ``hi``.  Each product is a stacked gemv, so every row keeps
+    the bits of its box bounded alone."""
+    lo, hi = lo[:, :, np.newaxis], hi[:, :, np.newaxis]
     # The largest magnitude in the box, per coordinate; after a ReLU,
     # 0 <= lo <= hi makes it hi.
     scale = np.maximum(np.abs(lo), np.abs(hi))
     for w_pos, w_neg, b, err_w, err_b, hidden in layers:
         # Widen each affine step by a bound on its rounding error, then one
         # ulp more for the rounding of the widening itself.
-        err = err_w @ scale + err_b
-        new_lo = np.nextafter(w_pos @ lo + w_neg @ hi + b - err, -np.inf)
-        new_hi = np.nextafter(w_pos @ hi + w_neg @ lo + b + err, np.inf)
+        err = np.matmul(err_w, scale) + err_b
+        new_lo = np.nextafter(np.matmul(w_pos, lo) + np.matmul(w_neg, hi) + b - err, -np.inf)
+        new_hi = np.nextafter(np.matmul(w_pos, hi) + np.matmul(w_neg, lo) + b + err, np.inf)
         if hidden:
             lo = np.maximum(new_lo, 0.0)
             hi = scale = np.maximum(new_hi, 0.0)
         else:
             lo, hi = new_lo, new_hi
-    return lo, hi
+    return lo[:, :, 0], hi[:, :, 0]
 
 
 def interval_bounds(net: Network, lower, upper) -> tuple[np.ndarray, np.ndarray]:
@@ -133,8 +137,8 @@ def interval_bounds(net: Network, lower, upper) -> tuple[np.ndarray, np.ndarray]
     every output j, lo[j] <= out_j(x) <= hi[j] holds for the exact
     (real-arithmetic) output, not only for a floating-point evaluation.
     """
-    lower = np.asarray(lower, dtype=np.float64)
-    upper = np.asarray(upper, dtype=np.float64)
+    lower = np.asarray(lower, dtype=np.float64, order="C")
+    upper = np.asarray(upper, dtype=np.float64, order="C")
     if lower.shape != upper.shape:
         raise ValueError("box bounds must have matching shapes")
     if lower.shape != (net.input_size,):
@@ -146,7 +150,8 @@ def interval_bounds(net: Network, lower, upper) -> tuple[np.ndarray, np.ndarray]
         raise ValueError("box bounds must be finite")
     if (lower > upper).any():
         raise ValueError("box lower bound exceeds upper bound")
-    return _propagate(net._interval_layers, lower, upper)
+    lo, hi = _propagate(net._interval_layers, lower[np.newaxis], upper[np.newaxis])
+    return lo[0], hi[0]
 
 
 def _certification_gap(lo, hi, label0):
@@ -172,17 +177,14 @@ def check_witness(net: Network, query: VerificationQuery, point) -> bool:
     return classify(net, point) != query.label0
 
 
-def _corners(lo, hi, rng):
+def _probe(net, lo, hi, label0, rng):
+    # The centre, then every corner, or 256 sampled ones past 8 dimensions.
     d = lo.shape[0]
     if d <= _EXHAUSTIVE_CORNER_DIMS:
         bits = ((np.arange(2**d)[:, None] >> np.arange(d)) & 1).astype(bool)
     else:
         bits = rng.integers(0, 2, size=(_SAMPLED_CORNERS, d)).astype(bool)
-    return np.where(bits, hi, lo)
-
-
-def _probe(net, lo, hi, label0, rng):
-    points = np.vstack([0.5 * (lo + hi), _corners(lo, hi, rng)])
+    points = np.vstack([0.5 * (lo + hi), np.where(bits, hi, lo)])
     labels = classify_batch(net, points)
     hits = np.nonzero(labels != label0)[0]
     if hits.size:
@@ -256,15 +258,16 @@ def verify_local_robustness(net: Network, query: VerificationQuery) -> Verdict:
     heap: list = []
     precision_exhausted = False
 
-    def push(box_lo, box_hi, depth):
-        # Only a positive gap certifies the box; a NaN gap keeps it.
+    def push(los, his, depth):
+        # Only a positive gap certifies a row's box; a NaN gap keeps it.
         nonlocal explored
-        explored += 1
-        gap = _certification_gap(*_propagate(layers, box_lo, box_hi), query.label0)
-        if not gap > 0:
-            heapq.heappush(heap, (gap, next(tie), depth, box_lo, box_hi))
+        explored += len(los)
+        gaps = _certification_gap(*_propagate(layers, los, his), query.label0)
+        for gap, box_lo, box_hi in zip(gaps, los, his):
+            if not gap > 0:
+                heapq.heappush(heap, (gap, next(tie), depth, box_lo, box_hi))
 
-    push(lo, hi, 0)
+    push(lo[np.newaxis], hi[np.newaxis], 0)
     while heap:
         if time.perf_counter() > deadline:
             return finish(VerdictKind.UNKNOWN, reason=BUDGET)
@@ -281,21 +284,14 @@ def verify_local_robustness(net: Network, query: VerificationQuery) -> Verdict:
             continue
 
         dim = int(np.argmax(widths))
-        mid = 0.5 * (box_lo[dim] + box_hi[dim])
-        for child_lo, child_hi in _split_box(box_lo, box_hi, dim, mid):
-            push(child_lo, child_hi, depth + 1)
+        los, his = np.stack([box_lo, box_lo]), np.stack([box_hi, box_hi])
+        # Halve the widest dimension: the left child is row 0, the right row 1.
+        his[0, dim] = los[1, dim] = 0.5 * (box_lo[dim] + box_hi[dim])
+        push(los, his, depth + 1)
 
     if precision_exhausted:
         return finish(VerdictKind.UNKNOWN, reason=PRECISION)
     return finish(VerdictKind.UNSAT)
-
-
-def _split_box(lo, hi, dim, mid):
-    left_hi = hi.copy()
-    left_hi[dim] = mid
-    right_lo = lo.copy()
-    right_lo[dim] = mid
-    return (lo, left_hi), (right_lo, hi)
 
 
 # ---------------------------------------------------------------------------

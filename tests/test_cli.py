@@ -19,6 +19,21 @@ def flip_net_path(tmp_path):
     return str(path)
 
 
+def run_cli(*argv):
+    """Run ``achilles`` in a child process: what a user's shell would see."""
+    env = dict(os.environ, PYTHONPATH=str(Path(achilles.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "achilles.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+
+
+def assert_refused_without_traceback(done):
+    assert done.returncode == 1
+    assert done.stderr.startswith("achilles: ")
+    assert "Traceback" not in done.stderr
+
+
 class TestGenNet:
     def test_writes_parsable_file(self, tmp_path, capsys):
         out = tmp_path / "net.relunet"
@@ -40,6 +55,17 @@ class TestGenNet:
 
     def test_bad_shape_is_usage_error(self, capsys):
         assert main(["gen-net", "--shape", "2,x,2"]) == 1
+
+    def test_too_few_layers_is_usage_error(self, capsys):
+        assert main(["gen-net", "--shape", "2,3"]) == 1
+        assert "need at least input, one hidden and output sizes" in capsys.readouterr().err
+
+    def test_unallocatable_shape_is_usage_error(self):
+        # A 10**8 x 10**8 weight matrix needs 71 PiB, past the 128 TiB
+        # x86-64 user address space, so numpy refuses it at once.
+        done = run_cli("gen-net", "--shape", "100000000,100000000,2")
+        assert_refused_without_traceback(done)
+        assert "Unable to allocate" in done.stderr
 
 
 class TestVerify:
@@ -101,14 +127,9 @@ class TestVerify:
         # Runs in a child process with a deadline: a NaN budget that slips
         # through validation makes the campaign loop forever.
         stop = [] if flag == "--budget" else ["--find", "1"]
-        env = dict(os.environ, PYTHONPATH=str(Path(achilles.__file__).parents[1]))
-        done = subprocess.run(
-            [
-                sys.executable, "-m", "achilles.cli", "verify", "--net", flip_net_path,
-                "--mode", "r", "--delta", "0.1", flag, "nan", *stop,
-                "--out", str(tmp_path / "r"),
-            ],
-            env=env, capture_output=True, text=True, timeout=30,
+        done = run_cli(
+            "verify", "--net", flip_net_path, "--mode", "r", "--delta", "0.1",
+            flag, "nan", *stop, "--out", str(tmp_path / "r"),
         )
         assert done.returncode == 1
         assert "must be" in done.stderr
@@ -124,6 +145,16 @@ class TestVerify:
         )
         assert code == 1
         assert "delta must be positive and finite" in capsys.readouterr().err
+
+    def test_zero_col_num_is_usage_error(self, flip_net_path, tmp_path, capsys):
+        code = main(
+            [
+                "verify", "--net", flip_net_path, "--mode", "b", "--delta", "0.1",
+                "--find", "1", "--col-num", "0", "--out", str(tmp_path / "r"),
+            ]
+        )
+        assert code == 1
+        assert "col_num must be positive" in capsys.readouterr().err
 
     def test_single_output_net_is_usage_error(self, tmp_path, capsys):
         # Every margin of a single-output net is infinite, so weak seeding
@@ -200,6 +231,16 @@ class TestAttack:
         assert code == 0
         out = capsys.readouterr().out
         assert "rate=1.0000" in out
+
+    def test_unallocatable_inputs_is_usage_error(self, flip_net_path):
+        # 10**15 seed rows need 7.1 PiB, past the 128 TiB x86-64 user
+        # address space, so numpy refuses them at once.
+        done = run_cli(
+            "attack", "--net", flip_net_path, "--selection", "r",
+            "--eps", "0.1", "--epo", "2", "--inputs", "1000000000000000",
+        )
+        assert_refused_without_traceback(done)
+        assert "Unable to allocate" in done.stderr
 
     def test_seed_export(self, flip_net_path, tmp_path, capsys):
         seeds_file = tmp_path / "seeds.txt"

@@ -331,6 +331,12 @@ class TestReportFiles:
         with pytest.raises(ReportFormatError):
             report_read(tmp_path / "nope")
 
+    def test_missing_runs_csv_raises(self, tmp_path):
+        out = report_write(error_and_unknown_report(), tmp_path / "report")
+        (out / "runs.csv").unlink()
+        with pytest.raises(ReportFormatError, match="cannot read runs"):
+            report_read(out)
+
     def test_error_and_unknown_rows_round_trip(self, tmp_path):
         report = error_and_unknown_report()
         back = report_read(report_write(report, tmp_path / "a"))

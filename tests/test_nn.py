@@ -70,6 +70,21 @@ class TestNetworkInvariants:
         with pytest.raises(ValueError, match="finite"):
             net_from_lists([[[math.nan]], [[1.0]]], [[0.0], [0.0]], [0.0], [1.0])
 
+    @pytest.mark.parametrize(
+        "weights, biases, lower, upper, message",
+        [
+            ([[[1.0]], [[1.0]]], [[0.0]], [0.0], [1.0], "pair up"),
+            ([[1.0], [[1.0]]], [[0.0], [0.0]], [0.0], [1.0], "layer 0: weight matrix must be 2-D"),
+            ([[[1.0]], [[1.0]]], [[0.0], [0.0]], [0.0, 0.0], [1.0, 1.0], "must each have 1 entries"),
+            ([[[1.0]], [[1.0]]], [[0.0], [0.0]], [math.nan], [1.0], "input bounds must be finite"),
+            ([[[1.0]], [[1.0]]], [[0.0], [0.0]], [0.0], [math.inf], "input bounds must be finite"),
+        ],
+        ids=["unpaired", "1-D-weight", "bounds-length", "nan-lower", "inf-upper"],
+    )
+    def test_malformed_parts_rejected(self, weights, biases, lower, upper, message):
+        with pytest.raises(ValueError, match=message):
+            net_from_lists(weights, biases, lower, upper)
+
     def test_overflowing_box_width_rejected(self):
         with pytest.raises(ValueError, match="widths must be finite"):
             net_from_lists([[[1.0]], [[1.0]]], [[0.0], [0.0]], [-1e308], [1e308])
@@ -235,6 +250,9 @@ class TestForward:
         for evaluate in (nn._point_values, margin, classify):
             with pytest.raises(ValueError, match="shape"):
                 evaluate(zero_net(), [0.1, 0.2, 0.3])
+        for batch in ([[0.1, 0.2, 0.3]], [[0.1]], [0.1, 0.2]):
+            with pytest.raises(ValueError, match=r"expected \(n, 2\)"):
+                forward_batch(zero_net(), batch)
 
     def test_seeded_net_matches_frozen_oracle_values(self):
         # Expected values computed once with the exact rational evaluator.

@@ -233,6 +233,15 @@ class TestGenerateSeed:
         with pytest.raises(ValueError, match="threshold"):
             generate_seed(zero_net(), ThresholdState(threshold=0.0), np.random.default_rng(0))
 
+    def test_zero_col_num_is_rejected_before_sampling(self):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        state = ThresholdState(threshold=1.0, col_num=0)
+        with pytest.raises(ValueError, match="col_num must be positive"):
+            generate_seed(zero_net(), state, rng)
+        assert state.samples_drawn == 0
+        assert rng.bit_generator.state == before
+
     def test_nan_threshold_is_rejected_before_sampling(self):
         # Finite weights whose outputs overflow to inf - inf give NaN
         # margins, so no finite bar exists; no draw can beat a NaN or

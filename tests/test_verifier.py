@@ -23,7 +23,7 @@ from achilles import (
     random_sample,
     verify_local_robustness,
 )
-from achilles.verifier import _certification_gap, _query_region
+from achilles.verifier import _certification_gap, _propagate, _query_region
 from helpers import flip_net, net_from_lists, rational_forward, zero_net
 
 
@@ -82,6 +82,34 @@ class TestIntervalBounds:
                 for point in points:
                     exact = rational_forward(net.weights, net.biases, point)
                     assert all(Fraction(a) <= v <= Fraction(b) for a, v, b in zip(lo, exact, hi)), (i, point)
+
+    def test_stacked_rows_have_single_box_bits(self):
+        # A stack of boxes is bounded by per-row gemvs, so each row must
+        # have the bits of its box bounded alone; a gemm over the stack
+        # rounds differently.  Point boxes (lo == hi) are included, and a
+        # third of the nets have integral weights, so signed zeros and
+        # exact ties appear.
+        rng = np.random.default_rng(61)
+        for i in range(36):
+            d = int(rng.integers(1, 12))
+            hidden = [int(rng.integers(1, 13)) for _ in range(rng.integers(1, 4))]
+            net = random_network([d, *hidden, int(rng.integers(1, 5))], 6100 + i, weight_scale=3.0)
+            if i % 3 == 0:
+                net = net_from_lists(
+                    [np.round(w) for w in net.weights],
+                    [np.round(b * 20) for b in net.biases],
+                    net.input_lower,
+                    net.input_upper,
+                )
+            n = int(rng.integers(1, 65))
+            lo = rng.uniform(-1.0, 2.0, size=(n, d))
+            hi = lo + rng.uniform(0.0, 0.5, size=(n, d))
+            hi[::4] = lo[::4]
+            stacked_lo, stacked_hi = _propagate(net._interval_layers, lo, hi)
+            for row in range(n):
+                single_lo, single_hi = interval_bounds(net, lo[row], hi[row])
+                assert stacked_lo[row].tobytes() == single_lo.tobytes(), (i, row)
+                assert stacked_hi[row].tobytes() == single_hi.tobytes(), (i, row)
 
     def test_dimension_check(self):
         with pytest.raises(ValueError, match="dimensions"):
