@@ -82,8 +82,9 @@ def attack(net: Network, x, config: AttackConfig) -> AttackResult:
     current = _as_input(net, x)
     outputs = []
     label0 = int(np.argmax(_layer_values(layers, current, outputs)))
+    one_hot = np.eye(net.output_size)[label0]
     for step in range(1, config.epo + 1):
-        current = _signed_step(net, current, _backward(layers, outputs, label0), config.eps)
+        current = _signed_step(net, current, _backward(layers, outputs, one_hot), config.eps)
         outputs = []
         if int(np.argmax(_layer_values(layers, current, outputs))) != label0:
             assert net.contains(current)

@@ -213,15 +213,13 @@ def _layer_values(layers, a: np.ndarray, outputs: list | None = None) -> np.ndar
     return a
 
 
-def _backward(layers, outputs: list[np.ndarray], target_label: int) -> np.ndarray:
-    """Input gradient of ``output[target_label]`` from the layer outputs
+def _backward(layers, outputs: list[np.ndarray], v: np.ndarray) -> np.ndarray:
+    """Input gradient of ``v @ output`` from the layer outputs
     ``_layer_values`` appends, the output values last.
 
     A hidden output, taken after ReLU, is ``> 0`` exactly where its
     pre-activation is, which is all the ReLU derivative needs.
     """
-    v = np.zeros(outputs[-1].shape[0])
-    v[target_label] = 1.0
     v = layers[-1][0].T @ v
     for (w, _, _), a in zip(layers[-2::-1], outputs[-2::-1]):
         v = v * (a > 0.0)
@@ -321,7 +319,7 @@ def gradient(net: Network, x, target_label: int) -> np.ndarray:
         )
     outputs = []
     _layer_values(net._layers, x, outputs)
-    return _backward(net._layers, outputs, target_label)
+    return _backward(net._layers, outputs, np.eye(net.output_size)[target_label])
 
 
 def lipschitz_bound(net: Network) -> float:

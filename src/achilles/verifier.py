@@ -20,8 +20,9 @@ import numpy as np
 
 from .nn import (
     Network,
+    _backward,
+    _layer_values,
     classify,
-    classify_batch,
     forward_batch,
     lipschitz_bound,
 )
@@ -48,10 +49,6 @@ PRECISION = "precision"
 # a box narrower than delta * _PRECISION_FLOOR in every dimension is not
 # split again, and the query ends UNKNOWN(precision) if no witness turns up.
 _PRECISION_FLOOR = 1e-4
-
-# Boxes with more dimensions get a random subset of corners probed.
-_EXHAUSTIVE_CORNER_DIMS = 8
-_SAMPLED_CORNERS = 2**_EXHAUSTIVE_CORNER_DIMS
 
 
 class VerdictKind(Enum):
@@ -84,8 +81,8 @@ class VerificationQuery:
             raise ValueError("x0 must be finite")
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise ValueError("delta must be positive and finite")
-        if not self.time_budget > 0:
-            raise ValueError("time_budget must be positive")
+        if not (math.isfinite(self.time_budget) and self.time_budget > 0):
+            raise ValueError("time_budget must be positive and finite")
 
     @classmethod
     def for_point(cls, net: Network, x0, delta: float, **kwargs) -> "VerificationQuery":
@@ -177,18 +174,21 @@ def check_witness(net: Network, query: VerificationQuery, point) -> bool:
     return classify(net, point) != query.label0
 
 
-def _probe(net, lo, hi, label0, rng):
-    # The centre, then every corner, or 256 sampled ones past 8 dimensions.
-    d = lo.shape[0]
-    if d <= _EXHAUSTIVE_CORNER_DIMS:
-        bits = ((np.arange(2**d)[:, None] >> np.arange(d)) & 1).astype(bool)
-    else:
-        bits = rng.integers(0, 2, size=(_SAMPLED_CORNERS, d)).astype(bool)
-    points = np.vstack([0.5 * (lo + hi), np.where(bits, hi, lo)])
-    labels = classify_batch(net, points)
-    hits = np.nonzero(labels != label0)[0]
-    if hits.size:
-        return points[hits[0]]
+def _probe(net, lo, hi, label0):
+    # The centre, then per rival label j the corner that a gradient-sign step
+    # from the centre takes to lower out[label0] - out[j].  Each point goes
+    # through _layer_values, the pass classify runs, so check_witness agrees.
+    layers = net._layers
+    centre = 0.5 * (lo + hi)
+    outputs = []
+    if np.argmax(_layer_values(layers, centre, outputs)) != label0:
+        return centre
+    eye = np.eye(net.output_size)
+    for j in range(net.output_size):
+        if j != label0:
+            corner = np.where(_backward(layers, outputs, eye[label0] - eye[j]) > 0, lo, hi)
+            if np.argmax(_layer_values(layers, corner)) != label0:
+                return corner
     return None
 
 
@@ -224,10 +224,11 @@ def verify_local_robustness(net: Network, query: VerificationQuery) -> Verdict:
     """Decide a local-robustness query by input-domain branch and bound.
 
     Boxes whose interval bounds prove the label fixed are certified and
-    dropped; otherwise the box center and corners are probed for concrete
-    counter-examples before the box splits along its widest dimension.
-    The queue serves the least-certified box first, so misclassified
-    regions surface early.  Returns:
+    dropped.  Any other box is probed at its centre and, per label j !=
+    label0, at the corner ``where(g_j > 0, lo, hi)``, with g_j the input
+    gradient of ``out[label0] - out[j]`` at the centre; then it splits
+    along its widest dimension.  The queue serves the least-certified box
+    first, so misclassified regions surface early.  Returns:
 
     * SAT with a re-validated witness,
     * UNSAT once the whole region is covered by certified boxes,
@@ -240,7 +241,6 @@ def verify_local_robustness(net: Network, query: VerificationQuery) -> Verdict:
     lo, hi = _query_region(net, query)
     min_width = query.delta * _PRECISION_FLOOR
     layers = net._interval_layers
-    rng = np.random.default_rng(0)  # fixed corner sample: verdicts are reproducible
 
     def finish(kind, witness=None, reason=None):
         return Verdict(
@@ -274,7 +274,7 @@ def verify_local_robustness(net: Network, query: VerificationQuery) -> Verdict:
         _, _, depth, box_lo, box_hi = heapq.heappop(heap)
         max_depth = max(max_depth, depth)
 
-        candidate = _probe(net, box_lo, box_hi, query.label0, rng)
+        candidate = _probe(net, box_lo, box_hi, query.label0)
         if candidate is not None and check_witness(net, query, candidate):
             return finish(VerdictKind.SAT, witness=candidate)
 

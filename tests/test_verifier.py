@@ -287,6 +287,12 @@ class TestVerify:
         with pytest.raises(ValueError, match="time_budget"):
             VerificationQuery(x0=np.array([0.4]), delta=0.1, label0=0, time_budget=float("nan"))
 
+    def test_infinite_time_budget_rejected(self):
+        # With no time limit, a 10-input query that neither certifies nor
+        # falsifies ends only at the precision floor: in effect, never.
+        with pytest.raises(ValueError, match="time_budget"):
+            VerificationQuery(x0=np.array([0.4]), delta=0.1, label0=0, time_budget=float("inf"))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_x0_rejected(self, bad):
         # NaN fails every bound check, so the search would certify a NaN
@@ -301,9 +307,28 @@ class TestVerify:
                 net, VerificationQuery(x0=np.array([3.0]), delta=0.5, label0=0)
             )
 
-    def test_sampled_corner_probe_is_reproducible(self):
-        # Past 8 inputs the probe samples corners from a stream of its own.
-        # These queries settle in under 1,000 boxes, far inside the budget.
+    def test_gradient_corner_found_at_root(self):
+        # On [0, 1]^10, out1 = s @ x - 4.99 with s = (1, -1, 1, -1, ...) and
+        # out0 = 0: the label flips only at the corner c = (1, 0, 1, 0, ...),
+        # where out1 is 0.01; every other corner has out1 <= -0.99.  The
+        # gradient of out0 - out1 is -s, so the probed corner is c.
+        signs = np.tile([1.0, -1.0], 5)
+        net = net_from_lists(
+            [np.eye(10), [np.zeros(10), signs]], [np.zeros(10), [0.0, -4.99]],
+            lower=np.zeros(10), upper=np.ones(10),
+        )
+        query = VerificationQuery.for_point(net, np.full(10, 0.5), 0.5)
+        assert query.label0 == 0
+        verdict = verify_local_robustness(net, query)
+        assert verdict.kind is VerdictKind.SAT
+        assert verdict.boxes_explored == 1
+        np.testing.assert_array_equal(verdict.witness, signs > 0)
+        assert check_witness(net, query, verdict.witness)
+
+    def test_gradient_corner_probe_is_reproducible(self):
+        # The probe draws no random numbers, so a query repeats its kind,
+        # boxes and witness bits.  These queries settle in under 1,000
+        # boxes, far inside the budget.
         net = random_network([10, 16, 16, 3], 700)
         rng = np.random.default_rng(0)
         points = [random_sample(net, rng) for _ in range(8)][2:]
@@ -318,7 +343,7 @@ class TestVerify:
                 assert check_witness(net, query, first.witness)
                 assert second.witness.tobytes() == first.witness.tobytes()
                 sat_depths.append(first.max_depth)
-        # At least one witness lies below the root, after many sampled probes.
+        # At least one witness lies below the root, after many probed boxes.
         assert sat_depths and max(sat_depths) > 0
 
     def test_stats_populated(self):
