@@ -34,7 +34,6 @@ from .nn import (
     Network,
     NetworkFormatError,
     classify,
-    classify_batch,
     format_float,
     format_network,
     forward_batch,

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import Network, _as_input, _backward, _layer_values, format_float, gradient
-from .seeding import (
-    SeedSearchExhausted,
-    SeedingConfig,
-    generate_seed,
-    make_threshold_state,
-    random_sample,
-)
+from .seeding import SeedingConfig, generate_seed, make_threshold_state, random_sample
 
 __all__ = [
     "AttackCampaignResult",
@@ -124,32 +118,21 @@ def run_attack_campaign(
     """Attack ``n_inputs`` starting points chosen randomly ("r") or by
     weak-seed generation ("b"); reproducible for a fixed rng seed.
 
-    When weak-seed generation cannot qualify a point (degenerate margins,
-    sampling cap), that input degrades to a plain random sample so the
-    campaign always completes; when no finite seed threshold exists, every
-    input does.
+    Seeds are picked as ``run_query`` picks them, and the seed stage's
+    errors propagate: under "b" a bar no draw can beat raises
+    ``ValueError`` before any attack, and ``generate_seed``'s give-up at
+    its sampling cap ends the campaign.
     """
     if n_inputs < 1:
         raise ValueError("n_inputs must be positive")
     if selection not in SELECTIONS:
         raise ValueError(f"selection must be one of {SELECTIONS}")
     rng = np.random.default_rng(rng)
-    state = None
-    if selection == "b":
-        try:
-            state = make_threshold_state(net, rng, seeding)
-        except ValueError:
-            pass
+    state = make_threshold_state(net, rng, seeding) if selection == "b" else None
     successes = 0
     seeds = np.empty((n_inputs, net.input_size))
     for i in range(n_inputs):
-        if state is not None:
-            try:
-                x = generate_seed(net, state, rng)
-            except (ValueError, SeedSearchExhausted):
-                x = random_sample(net, rng)
-        else:
-            x = random_sample(net, rng)
+        x = random_sample(net, rng) if state is None else generate_seed(net, state, rng)
         seeds[i] = x
         if attack(net, x, config).success:
             successes += 1

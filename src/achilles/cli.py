@@ -22,7 +22,7 @@ import numpy as np
 from .attacks import SELECTIONS, AttackConfig, export_seed_list, run_attack_campaign
 from .harness import CampaignSpec, Mode, ReportFormatError, report_write, run_campaign
 from .nn import NetworkFormatError, format_float, format_network, load_network, random_network, save_network
-from .seeding import THRESHOLD_STRATEGIES, SeedingConfig
+from .seeding import THRESHOLD_STRATEGIES, SeedSearchExhausted, SeedingConfig
 from .verifier import GridOutcome, VerificationQuery, grid_oracle
 
 USAGE_ERROR = 1
@@ -193,7 +193,7 @@ def main(argv=None) -> int:
     except (NetworkFormatError, ReportFormatError, OSError) as exc:
         print(f"achilles: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, SeedSearchExhausted, MemoryError) as exc:
         print(f"achilles: {str(exc) or 'out of memory'}", file=sys.stderr)
         return USAGE_ERROR
 

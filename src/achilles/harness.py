@@ -26,7 +26,7 @@ import numpy as np
 from .greedy import greedy_search
 from .nn import Network, format_float, load_network, margin
 from .seeding import SeedingConfig, ThresholdState, generate_seed, make_threshold_state, random_sample
-from .verifier import VerificationQuery, check_witness, verify_local_robustness
+from .verifier import VerdictKind, VerificationQuery, check_witness, verify_local_robustness
 
 __all__ = [
     "CampaignReport",
@@ -42,6 +42,9 @@ __all__ = [
     "run_query",
 ]
 
+
+# RunRecord.outcome: a verdict kind's value, or "error" for a run that raised.
+_OUTCOMES = (*(kind.value for kind in VerdictKind), "error")
 
 # A find-N campaign ends after this many runs per counter-example sought,
 # found or not, so a net with none within delta cannot keep it going.
@@ -69,7 +72,7 @@ class Mode(Enum):
         return self in (Mode.RG, Mode.BG)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CampaignSpec:
     """One campaign: network, mode, radius, stop condition and configs.
 
@@ -89,7 +92,7 @@ class CampaignSpec:
 
     def __post_init__(self):
         if isinstance(self.mode, str):
-            self.mode = Mode(self.mode)
+            object.__setattr__(self, "mode", Mode(self.mode))
         if (self.time_budget is None) == (self.target_counterexamples is None):
             raise ValueError(
                 "set exactly one stop condition: time_budget or target_counterexamples"
@@ -118,7 +121,7 @@ class RunRecord:
     mode: str
     seed: tuple[float, ...] = ()
     seed_margin: float = math.nan
-    outcome: str = "error"  # sat | unsat | unknown | error
+    outcome: str = "error"  # one of _OUTCOMES
     greedy_found: bool = False
     witness: tuple[float, ...] | None = None
     reason: str | None = None
@@ -203,7 +206,9 @@ def run_campaign(spec: CampaignSpec, net: Network | None = None) -> CampaignRepo
     """Loop run_query until the stop condition is met.
 
     Single-worker and fully sequential: identical spec and seed reproduce
-    the same seeds, outcomes and witnesses (recorded times vary).
+    the same seeds, outcomes and witnesses (recorded times vary), except
+    that an UNKNOWN(budget) verdict depends on the host's speed, and so
+    can the number of runs a find-N campaign takes.
     """
     if net is None:
         net = load_network(spec.net_path)
@@ -296,7 +301,15 @@ def _unpack_floats(text: str) -> tuple[float, ...]:
 
 
 def _parse_flag(text: str) -> bool:
-    return bool(int(text))
+    if text not in ("0", "1"):
+        raise ValueError(f"flag must be 0 or 1, got {text!r}")
+    return text == "1"
+
+
+def _parse_outcome(text: str) -> str:
+    if text not in _OUTCOMES:
+        raise ValueError(f"outcome must be one of {_OUTCOMES}, got {text!r}")
+    return text
 
 
 class _Column(NamedTuple):
@@ -312,7 +325,7 @@ _COLUMNS = {
     "mode": _Column(str),
     "seed": _Column(_unpack_floats),
     "seed_margin": _Column(float),
-    "outcome": _Column(str),
+    "outcome": _Column(_parse_outcome),
     "greedy_found": _Column(_parse_flag),
     "witness": _Column(_unpack_floats, optional=True),
     "reason": _Column(str, optional=True),

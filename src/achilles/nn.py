@@ -22,7 +22,6 @@ __all__ = [
     "Network",
     "NetworkFormatError",
     "classify",
-    "classify_batch",
     "format_float",
     "format_network",
     "forward_batch",
@@ -301,10 +300,6 @@ def classify(net: Network, x) -> int:
 
 def margin_batch(net: Network, xs) -> np.ndarray:
     return top_gap(forward_batch(net, xs))
-
-
-def classify_batch(net: Network, xs) -> np.ndarray:
-    return np.argmax(forward_batch(net, xs), axis=1)
 
 
 def gradient(net: Network, x, target_label: int) -> np.ndarray:

@@ -48,7 +48,7 @@ class SeedSearchExhausted(RuntimeError):
     """No qualifying seed found within the sampling cap."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeedingConfig:
     """Tunables for threshold computation and seed generation."""
 
@@ -96,6 +96,13 @@ def random_sample(net: Network, rng: np.random.Generator, size: int | None = Non
     return net.input_lower + net._input_width * rng.random(shape)
 
 
+def _check_bar(threshold: float) -> None:
+    """Refuse a bar no draw can beat: a margin is never below 0, nor
+    below a NaN bar, and escalation never moves 0 or an infinite bar."""
+    if not 0.0 < threshold < math.inf:
+        raise ValueError(f"seed threshold must be finite and positive, got {threshold!r}")
+
+
 def make_threshold_state(net: Network, rng: np.random.Generator, config: SeedingConfig | None = None) -> ThresholdState:
     """Draw a fresh sample set and build the initial threshold state.
 
@@ -103,14 +110,11 @@ def make_threshold_state(net: Network, rng: np.random.Generator, config: Seeding
     minus standard deviation of the sampled margins, or the minimum when
     that is non-positive (heavy-tailed margins), so escalation still has
     a workable base.  Raises ``ValueError`` when the bar is not finite
-    (a single-output net's margins are all infinite; overflowing outputs
-    give NaN), since no draw could qualify against it.
+    and positive (a single-output net's margins are all infinite,
+    overflowing outputs give NaN, and a net whose top two outputs tie
+    at a sampled point gives 0), since no draw could qualify against it.
     """
     cfg = config or SeedingConfig()
-    if cfg.threshold_strategy not in THRESHOLD_STRATEGIES:
-        raise ValueError(f"unknown threshold strategy {cfg.threshold_strategy!r}")
-    if cfg.sample_set_size < 1:
-        raise ValueError("sample set size must be positive")
     margins = margin_batch(net, random_sample(net, rng, cfg.sample_set_size))
     value = float(margins.min())
     if cfg.threshold_strategy == "average":
@@ -120,8 +124,7 @@ def make_threshold_state(net: Network, rng: np.random.Generator, config: Seeding
             average = float(margins.mean() - margins.std())
         if not average <= 0.0:
             value = average
-    if not math.isfinite(value):
-        raise ValueError(f"seed threshold must be finite, got {value!r}")
+    _check_bar(value)
     return ThresholdState(threshold=value, col_num=cfg.col_num)
 
 
@@ -139,8 +142,7 @@ def generate_seed(
     the stream is rewound to just past the accepted one: the seed,
     ``state`` and ``rng`` end exactly as with one draw per candidate.
     """
-    if not 0.0 < state.threshold < math.inf:
-        raise ValueError("threshold must be positive and finite")
+    _check_bar(state.threshold)
     if state.col_num < 1:
         raise ValueError("col_num must be positive")
     # The loop runs on locals; ``finally`` writes them back, so however

@@ -12,7 +12,6 @@ from achilles import (
     gradient,
     lipschitz_bound,
     random_network,
-    random_sample,
     run_attack_campaign,
 )
 from achilles.seeding import SeedingConfig
@@ -155,12 +154,11 @@ class TestAttackConfig:
 class TestCampaign:
     def test_zero_net_rate_zero_for_both_selections(self):
         net = zero_net()
-        for selection in ("r", "b"):
-            rate = run_attack_campaign(
-                net, 20, AttackConfig(eps=0.1, epo=2), selection, 0,
-                SeedingConfig(sample_set_size=50, col_num=20),
-            ).rate
-            assert rate == 0.0
+        config, seeding = AttackConfig(eps=0.1, epo=2), SeedingConfig(sample_set_size=50, col_num=20)
+        assert run_attack_campaign(net, 20, config, "r", 0, seeding).rate == 0.0
+        # Every margin is 0, a bar no draw can beat, so "b" has no seeds.
+        with pytest.raises(ValueError, match="seed threshold must be finite and positive, got 0.0"):
+            run_attack_campaign(net, 20, config, "b", 0, seeding)
 
     def test_flip_net_rate_one_when_budget_covers_box(self):
         # eps * epo = 0.6 > 0.5, the farthest distance to the flip point.
@@ -187,21 +185,19 @@ class TestCampaign:
         assert a.rate == b.rate
         assert all(np.array_equal(x, y) for x, y in zip(a.seeds, b.seeds))
 
-    def test_degrades_to_random_when_no_weak_seed_exists(self, monkeypatch):
+    def test_refuses_when_no_weak_seed_exists(self, monkeypatch):
         # Single-output head: margins are infinite, so no finite seed
-        # threshold exists; selection "b" falls back to random samples
-        # without searching for a seed, and the campaign still completes.
-        def no_search(*args):
-            raise AssertionError("generate_seed called")
+        # threshold exists; selection "b" refuses before any seed search
+        # or attack instead of attacking random points.
+        def never(*args):
+            raise AssertionError("called")
 
-        monkeypatch.setattr(attacks, "generate_seed", no_search)
+        monkeypatch.setattr(attacks, "generate_seed", never)
+        monkeypatch.setattr(attacks, "attack", never)
         net = random_network([2, 4, 1], 3)
         seeding = SeedingConfig(sample_set_size=20, col_num=10)
-        result = run_attack_campaign(net, 5, AttackConfig(eps=0.1, epo=1), "b", 0, seeding)
-        assert result.attempts == 5
-        rng = np.random.default_rng(0)
-        random_sample(net, rng, seeding.sample_set_size)
-        assert result.seeds.tolist() == [random_sample(net, rng).tolist() for _ in range(5)]
+        with pytest.raises(ValueError, match="seed threshold must be finite and positive, got inf"):
+            run_attack_campaign(net, 5, AttackConfig(eps=0.1, epo=1), "b", 0, seeding)
 
     def test_input_validation(self):
         net = zero_net()

@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 import achilles
-from achilles import cli, load_network, save_network
+from achilles import cli, load_network, save_network, seeding
 from achilles.cli import main
-from helpers import flip_net
+from helpers import constant_margin_net, flip_net, zero_net
 
 
 @pytest.fixture
@@ -173,6 +173,22 @@ class TestVerify:
             assert code == 1, strategy
             assert "seed threshold must be finite" in capsys.readouterr().err, strategy
 
+    def test_zero_net_weak_mode_is_usage_error(self, tmp_path, capsys):
+        # Every margin of the zero net is 0, a bar no draw can beat: the
+        # campaign is refused before its first run, not run as errors.
+        net = tmp_path / "zero.relunet"
+        save_network(zero_net(), net)
+        out = tmp_path / "r"
+        code = main(
+            [
+                "verify", "--net", str(net), "--mode", "b", "--delta", "0.1",
+                "--find", "2", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "seed threshold must be finite and positive, got 0.0" in capsys.readouterr().err
+        assert not (out / "runs.csv").exists()
+
     def test_missing_net_file_is_data_error(self, tmp_path, capsys):
         code = main(
             [
@@ -254,6 +270,38 @@ class TestAttack:
         assert code == 0
         lines = seeds_file.read_text().strip().splitlines()
         assert len(lines) == 5
+
+    def test_single_output_net_weak_selection_is_usage_error(self, tmp_path, capsys):
+        # As in verify: no finite bar exists, so no weak seed does, and the
+        # campaign must not attack random points in their place.
+        net = tmp_path / "one.relunet"
+        assert main(["gen-net", "--shape", "2,4,1", "--out", str(net)]) == 0
+        capsys.readouterr()
+        code = main(
+            [
+                "attack", "--net", str(net), "--selection", "b",
+                "--eps", "0.1", "--epo", "2", "--inputs", "5",
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "seed threshold must be finite and positive, got inf" in captured.err
+        assert captured.out == ""
+
+    def test_exhausted_seed_search_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # The margin is 1 everywhere, so the bar is 1 and a draw must
+        # beat it by escalating, which a 10-draw cap never reaches.
+        monkeypatch.setattr(seeding, "MAX_SEED_SAMPLES", 10)
+        net = tmp_path / "flat.relunet"
+        save_network(constant_margin_net(), net)
+        code = main(
+            [
+                "attack", "--net", str(net), "--selection", "b",
+                "--eps", "0.1", "--epo", "2", "--inputs", "5",
+            ]
+        )
+        assert code == 1
+        assert "no sample with margin below 1.0 in 10 draws" in capsys.readouterr().err
 
     def test_unwritable_seeds_out_fails_before_the_campaign(
         self, flip_net_path, tmp_path, monkeypatch, capsys

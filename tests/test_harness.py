@@ -12,6 +12,7 @@ from achilles import (
     Mode,
     ReportFormatError,
     RunRecord,
+    SeedSearchExhausted,
     SeedingConfig,
     audit_report,
     load_network,
@@ -106,6 +107,19 @@ class TestCampaignSpec:
     def test_delta_positive(self):
         with pytest.raises(ValueError, match="delta"):
             CampaignSpec(net_path="x", mode=Mode.R, delta=0.0, time_budget=1.0)
+
+    def test_frozen_after_checks(self):
+        # A stop condition reassigned after the checks could run forever.
+        spec = CampaignSpec(net_path="x", mode="b", delta=0.1, time_budget=1.0)
+        for name, value in (
+            ("time_budget", math.inf), ("mode", Mode.R), ("delta", 0.0),
+            ("seeding", SeedingConfig(col_num=1)),
+        ):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.seeding.col_num = 0
+        assert spec == CampaignSpec(net_path="x", mode=Mode.B, delta=0.1, time_budget=1.0)
 
 
 class TestRunQuery:
@@ -381,8 +395,11 @@ class TestReportFiles:
             (lambda rows: [rows[0][:-1]] + rows[1:], "unexpected CSV header"),
             (lambda rows: rows[:-1] + [rows[-1][:-1]], "bad CSV row"),
             (lambda rows: rows[:-1] + [rows[-1][:3] + ["one"] + rows[-1][4:]], "malformed runs.csv"),
+            # The last row is UNSAT, so the summary's SAT count cannot catch these.
+            (lambda rows: rows[:-1] + [rows[-1][:5] + ["7"] + rows[-1][6:]], "flag must be 0 or 1, got '7'"),
+            (lambda rows: rows[:-1] + [rows[-1][:4] + ["banana"] + rows[-1][5:]], "outcome must be one of"),
         ],
-        ids=["wrong-header", "short-row", "unparseable-float"],
+        ids=["wrong-header", "short-row", "unparseable-float", "flag-not-0-or-1", "unknown-outcome"],
     )
     def test_malformed_runs_rejected(self, tmp_path, edit, message):
         out = report_write(error_and_unknown_report(), tmp_path / "report")
@@ -468,18 +485,19 @@ class TestReportFiles:
 
 
 class TestErrorPropagation:
-    def test_campaign_survives_seed_generation_failure(self, tmp_path):
-        # Margins on the zero net are all exactly zero: the weak-seed bar
-        # is non-positive and every B run records an error instead of
-        # aborting the campaign.
-        path = tmp_path / "zero.relunet"
-        save_network(zero_net(), path)
+    def test_campaign_survives_seed_generation_failure(self, flip_net_path, monkeypatch):
+        # A seed search that gives up fails its own run only: every B run
+        # records the error instead of aborting the campaign.
+        def exhausted(net, state, rng):
+            raise SeedSearchExhausted("no seed")
+
+        monkeypatch.setattr(harness, "generate_seed", exhausted)
         spec = CampaignSpec(
-            net_path=str(path), mode=Mode.B, delta=0.1, time_budget=0.3,
+            net_path=flip_net_path, mode=Mode.B, delta=0.1, target_counterexamples=2,
             seeding=SeedingConfig(sample_set_size=20, col_num=10),
-            per_query_timeout=0.05,
         )
         report = run_campaign(spec)
-        assert report.runs > 0
-        assert all(r.outcome == "error" for r in report.records)
+        assert report.runs == 200
+        assert all(r.outcome == "error" and r.seed == () for r in report.records)
+        assert {r.reason for r in report.records} == {"SeedSearchExhausted: no seed"}
         assert report.sat_total == 0

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import numpy as np
@@ -108,9 +108,9 @@ def _sample_set_and_state(net, seed, **config):
 class TestComputeThreshold:
     """The bar ``make_threshold_state`` computes from its sample set.
 
-    A non-finite bar is refused: ``TestGenerateSeed``'s
-    ``test_nan_threshold_is_rejected_before_sampling`` and
-    ``test_single_output_net_has_no_threshold`` cover it.
+    A bar that is not finite and positive is refused: ``test_zero_bar_refused``
+    and ``TestGenerateSeed``'s ``test_nan_threshold_is_rejected_before_sampling``
+    and ``test_single_output_net_has_no_threshold`` cover it.
     """
 
     def test_singleton(self):
@@ -126,12 +126,12 @@ class TestComputeThreshold:
     def test_empty_sample_set(self):
         with pytest.raises(ValueError, match="positive"):
             SeedingConfig(sample_set_size=0)
-        # A field reassigned after the config was built is refused too.
+        # A built config is frozen, so the checked size cannot be undone.
         cfg = SeedingConfig()
         for size in (0, -1):
-            cfg.sample_set_size = size
-            with pytest.raises(ValueError, match="positive"):
-                make_threshold_state(ramp_net(), np.random.default_rng(0), cfg)
+            with pytest.raises(FrozenInstanceError):
+                cfg.sample_set_size = size
+        assert cfg.sample_set_size == seeding.DEFAULT_SAMPLE_SET_SIZE
 
     def test_matches_brute_force_scan(self):
         # Every row of the batch has the bits of its own single-point pass.
@@ -150,14 +150,18 @@ class TestComputeThreshold:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="strategy"):
             SeedingConfig(threshold_strategy="median")
-        # A config changed after construction is refused before any draw.
+        # A built config is frozen, so the checked strategy cannot be undone.
         config = SeedingConfig()
-        config.threshold_strategy = "median"
-        rng = np.random.default_rng(0)
-        before = rng.bit_generator.state
-        with pytest.raises(ValueError, match="strategy"):
-            make_threshold_state(ramp_net(), rng, config)
-        assert rng.bit_generator.state == before
+        with pytest.raises(FrozenInstanceError):
+            config.threshold_strategy = "median"
+        assert config.threshold_strategy == "minimum"
+
+    @pytest.mark.parametrize("strategy", ["minimum", "average"])
+    def test_zero_bar_refused(self, strategy):
+        # Every margin of the zero net is 0: no draw's margin is below
+        # that bar, and escalation leaves it at 0.
+        with pytest.raises(ValueError, match="seed threshold must be finite and positive, got 0.0"):
+            make_threshold_state(zero_net(), np.random.default_rng(0), SeedingConfig(threshold_strategy=strategy))
 
 
 class TestGenerateSeed:
@@ -270,8 +274,7 @@ class TestGenerateSeed:
 
     def test_gives_up_at_sampling_cap(self, monkeypatch):
         # A cap that ends inside a block: exactly cap draws, and the
-        # stream where cap single draws would have left it, since
-        # run_attack_campaign's fallback sample is drawn from there.
+        # stream where cap single draws would have left it.
         cap = 2 * seeding._BLOCK + 5
         monkeypatch.setattr(seeding, "MAX_SEED_SAMPLES", cap)
         # Single-output net: margin is infinite, no finite bar ever accepts.

@@ -11,7 +11,6 @@ from achilles import (
     VerificationQuery,
     check_witness,
     classify,
-    classify_batch,
     forward_batch,
     greedy_search,
     grid_oracle,
@@ -223,7 +222,7 @@ class TestVerify:
         assert verdict is not None, "no UNSAT query found to falsify"
         lo, hi = _query_region(net, query)
         points = rng.uniform(lo, hi, size=(100_000, 2))
-        assert (classify_batch(net, points) == query.label0).all()
+        assert (np.argmax(forward_batch(net, points), axis=1) == query.label0).all()
 
     def test_budget_exhaustion(self):
         # The zero net never certifies (all outputs tie) and never
