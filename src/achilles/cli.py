@@ -112,7 +112,7 @@ def _cmd_verify(args) -> int:
         report_write(report, target)
         summaries.append({"repeat": i} | {key: getattr(report, key) for key in _REPEAT_KEYS})
         print(
-            f"repeat {i}: mode={report.mode} runs={report.runs} "
+            f"repeat {i}: mode={report.spec.mode.value} runs={report.runs} "
             f"sat={report.sat_total} by_greedy={report.sat_by_greedy} "
             f"rate={report.rate:.4f} wall={report.wall_time_s:.2f}s"
         )

@@ -13,13 +13,14 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,15 +92,12 @@ class CampaignSpec:
     seeding: SeedingConfig = field(default_factory=SeedingConfig)
 
     def __post_init__(self):
+        object.__setattr__(self, "net_path", os.fspath(self.net_path))
         if isinstance(self.mode, str):
             object.__setattr__(self, "mode", Mode(self.mode))
         if (self.time_budget is None) == (self.target_counterexamples is None):
-            raise ValueError(
-                "set exactly one stop condition: time_budget or target_counterexamples"
-            )
-        if self.time_budget is not None and not (
-            math.isfinite(self.time_budget) and self.time_budget >= 0
-        ):
+            raise ValueError("set exactly one stop condition: time_budget or target_counterexamples")
+        if self.time_budget is not None and not (math.isfinite(self.time_budget) and self.time_budget >= 0):
             raise ValueError("time_budget must be non-negative and finite")
         if self.target_counterexamples is not None and self.target_counterexamples < 0:
             raise ValueError("target_counterexamples must be non-negative")
@@ -107,9 +105,14 @@ class CampaignSpec:
             raise ValueError("delta must be positive and finite")
         if not (math.isfinite(self.per_query_timeout) and self.per_query_timeout > 0):
             raise ValueError("per_query_timeout must be positive and finite")
+        # np.random.default_rng's own rule, checked before the campaign starts;
+        # a numpy integer is stored as an int, which summary.json can hold.
+        if not (isinstance(self.rng_seed, (int, np.integer)) and self.rng_seed >= 0):
+            raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
+        object.__setattr__(self, "rng_seed", int(self.rng_seed))
 
 
-@dataclass
+@dataclass(slots=True)
 class RunRecord:
     """One query's worth of campaign accounting.
 
@@ -132,13 +135,9 @@ class RunRecord:
 class CampaignReport:
     """``net_sha256`` is ``_net_fingerprint`` of the net the campaign ran on."""
 
-    mode: str
-    delta: float
-    rng_seed: int
-    net_path: str
+    spec: CampaignSpec
     records: list[RunRecord] = field(default_factory=list)
     wall_time_s: float = 0.0
-    config: dict = field(default_factory=dict)
     net_sha256: str = ""
 
     @property
@@ -213,9 +212,7 @@ def run_campaign(spec: CampaignSpec, net: Network | None = None) -> CampaignRepo
     if net is None:
         net = load_network(spec.net_path)
     rng = np.random.default_rng(spec.rng_seed)
-    threshold_state = None
-    if spec.mode.boosted:
-        threshold_state = make_threshold_state(net, rng, spec.seeding)
+    threshold_state = make_threshold_state(net, rng, spec.seeding) if spec.mode.boosted else None
 
     records: list[RunRecord] = []
     sat_total = 0
@@ -227,27 +224,13 @@ def run_campaign(spec: CampaignSpec, net: Network | None = None) -> CampaignRepo
         if spec.time_budget is not None and time.perf_counter() - started >= spec.time_budget:
             break
         record = run_query(
-            net,
-            spec.mode,
-            spec.delta,
-            rng=rng,
-            index=len(records),
-            threshold_state=threshold_state,
-            per_query_timeout=spec.per_query_timeout,
+            net, spec.mode, spec.delta, rng=rng, index=len(records),
+            threshold_state=threshold_state, per_query_timeout=spec.per_query_timeout,
         )
         records.append(record)
         if record.outcome == "sat":
             sat_total += 1
-    return CampaignReport(
-        mode=spec.mode.value,
-        delta=spec.delta,
-        rng_seed=spec.rng_seed,
-        net_path=str(spec.net_path),
-        records=records,
-        wall_time_s=time.perf_counter() - started,
-        config=_config_echo(spec),
-        net_sha256=_net_fingerprint(net),
-    )
+    return CampaignReport(spec, records, wall_time_s=time.perf_counter() - started, net_sha256=_net_fingerprint(net))
 
 
 def _net_fingerprint(net: Network) -> str:
@@ -258,25 +241,16 @@ def _net_fingerprint(net: Network) -> str:
     return digest.hexdigest()
 
 
-def _config_echo(spec: CampaignSpec) -> dict:
-    return {
-        "time_budget": spec.time_budget,
-        "target_counterexamples": spec.target_counterexamples,
-        "per_query_timeout": spec.per_query_timeout,
-        "seeding": asdict(spec.seeding),
-    }
-
-
 def audit_report(net: Network, report: CampaignReport) -> None:
     """Re-validate every stored SAT witness; raises ``ReportFormatError``
-    on the first failure, a seed or delta that makes no query included."""
+    on the first failure, a seed that makes no query included."""
     for record in report.records:
         if record.outcome != "sat":
             continue
         if record.witness is None:
             raise ReportFormatError(f"run {record.index}: SAT without witness")
         try:
-            query = VerificationQuery.for_point(net, record.seed, report.delta)
+            query = VerificationQuery.for_point(net, record.seed, report.spec.delta)
         except ValueError as exc:
             raise ReportFormatError(f"run {record.index}: {exc}") from None
         if not check_witness(net, query, np.array(record.witness)):
@@ -333,7 +307,13 @@ _COLUMNS = {
 }
 _CELL_FORMATS = {float: format_float, _unpack_floats: _pack_floats, _parse_flag: int}
 _DIGEST_FORMATS = {float: format_float, _unpack_floats: lambda values: [format_float(v) for v in values]}
-# summary.json holds every CampaignReport field but the records, and these.
+# summary.json: each key but the aggregates, with its value's JSON type (a
+# dict is a nested object).  Four spec fields sit at the top, the rest in "config".
+_SPEC_TOP = {"net_path": str, "mode": str, "delta": float, "rng_seed": int}
+_SEEDING = {"sample_set_size": int, "col_num": int, "threshold_strategy": str}
+_CONFIG = {"time_budget": float, "target_counterexamples": int, "per_query_timeout": float, "seeding": _SEEDING}
+_SUMMARY_KEYS = _SPEC_TOP | {"config": _CONFIG, "wall_time_s": float, "net_sha256": str}
+_STOP_CONDITIONS = ("time_budget", "target_counterexamples")  # the unset one is null
 _AGGREGATES = ("runs", "sat_total", "sat_by_greedy", "rate")
 
 
@@ -343,8 +323,11 @@ def _formatted(record: RunRecord, name: str, formats: dict):
     return value if value is None or fmt is None else fmt(value)
 
 
-def _campaign_fields(report: CampaignReport) -> dict:
-    return {f.name: getattr(report, f.name) for f in fields(report) if f.name != "records"}
+def _summary_fields(report: CampaignReport) -> dict:
+    """summary.json without its aggregates."""
+    config = asdict(report.spec)
+    summary = {name: config.pop(name) for name in _SPEC_TOP} | {"mode": report.spec.mode.value}
+    return summary | {"config": config, "wall_time_s": report.wall_time_s, "net_sha256": report.net_sha256}
 
 
 def report_write(report: CampaignReport, out_dir) -> Path:
@@ -356,14 +339,21 @@ def report_write(report: CampaignReport, out_dir) -> Path:
         writer.writerow(_COLUMNS)
         for r in report.records:
             writer.writerow([_formatted(r, name, _CELL_FORMATS) for name in _COLUMNS])
-    summary = _campaign_fields(report) | {key: getattr(report, key) for key in _AGGREGATES}
+    summary = _summary_fields(report) | {key: getattr(report, key) for key in _AGGREGATES}
     with open(out / "summary.json", "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return out
 
 
-def _summary_value(name: str, value, kind: type):
+def _summary_value(name: str, value, kind):
+    if value is None and name in _STOP_CONDITIONS:
+        return None
+    if isinstance(kind, dict):
+        unknown = sorted(_summary_value(name, value, dict).keys() - kind.keys())
+        if unknown:
+            raise ReportFormatError(f"summary {name} has unknown keys {unknown}")
+        return {key: _summary_value(key, item, kind[key]) for key, item in value.items()}
     if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
         value = float(value)
     if type(value) is not kind:
@@ -374,7 +364,12 @@ def _summary_value(name: str, value, kind: type):
 def report_read(out_dir) -> CampaignReport:
     """Read a report back; inverse of report_write.
 
-    A summary key that is absent takes its ``CampaignReport`` default.
+    The spec is rebuilt through ``CampaignSpec`` and ``SeedingConfig``, so
+    their rules guard a read report too.  Also refused: a value of the
+    wrong JSON type, a key ``config`` does not know, a run whose ``mode``
+    is not the spec's, and an aggregate the runs disagree with.  Only
+    ``wall_time_s``, ``net_sha256``, the aggregates and keys inside
+    ``config`` may be absent; each takes its default.
     """
     out = Path(out_dir)
     try:
@@ -384,13 +379,16 @@ def report_read(out_dir) -> CampaignReport:
         raise ReportFormatError(f"cannot read summary: {exc}") from None
     if not isinstance(summary, dict):
         raise ReportFormatError("summary.json does not hold a JSON object")
-    kinds = get_type_hints(CampaignReport)
-    campaign = {}
-    for f in fields(CampaignReport):
-        if f.name in summary and f.name != "records":
-            campaign[f.name] = _summary_value(f.name, summary[f.name], kinds[f.name])
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise ReportFormatError(f"summary.json has no {f.name}")
+    known = [name for name in _SUMMARY_KEYS if name in summary]
+    values = {name: _summary_value(name, summary[name], _SUMMARY_KEYS[name]) for name in known}
+    try:
+        config = values.pop("config")
+        seeding = SeedingConfig(**config.pop("seeding", {}))
+        spec = CampaignSpec(**{name: values.pop(name) for name in _SPEC_TOP}, **config, seeding=seeding)
+    except KeyError as exc:
+        raise ReportFormatError(f"summary.json has no {exc.args[0]}") from None
+    except ValueError as exc:
+        raise ReportFormatError(f"summary holds no campaign spec: {exc}") from None
     records: list[RunRecord] = []
     try:
         with open(out / "runs.csv", newline="", encoding="utf-8") as handle:
@@ -401,20 +399,21 @@ def report_read(out_dir) -> CampaignReport:
             for row in reader:
                 if len(row) != len(_COLUMNS):
                     raise ReportFormatError(f"bad CSV row: {row}")
-                records.append(RunRecord(**{
+                record = RunRecord(**{
                     name: None if column.optional and not cell else column.parse(cell)
                     for (name, column), cell in zip(_COLUMNS.items(), row)
-                }))
+                })
+                if record.mode != spec.mode.value:
+                    raise ReportFormatError(f"run {record.index}: mode {record.mode!r} is not the summary's")
+                records.append(record)
     except OSError as exc:
         raise ReportFormatError(f"cannot read runs: {exc}") from None
     except ValueError as exc:
         raise ReportFormatError(f"malformed runs.csv: {exc}") from None
-    report = CampaignReport(records=records, **campaign)
+    report = CampaignReport(spec, records, **values)
     for key in _AGGREGATES:
         if key in summary and summary[key] != getattr(report, key):
-            raise ReportFormatError(
-                f"summary {key}={summary[key]} disagrees with runs.csv"
-            )
+            raise ReportFormatError(f"summary {key}={summary[key]} disagrees with runs.csv")
     return report
 
 
@@ -426,9 +425,9 @@ def report_digest(report: CampaignReport) -> str:
     enters by its file name and its ``_net_fingerprint``, not its directory,
     so a campaign digests the same from any checkout.
     """
-    payload = _campaign_fields(report)
+    payload = _summary_fields(report)
     del payload["wall_time_s"]
-    payload["net_path"] = Path(report.net_path).name
+    payload["net_path"] = Path(report.spec.net_path).name
     payload["records"] = [
         {
             name: _formatted(r, name, _DIGEST_FORMATS)

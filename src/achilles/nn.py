@@ -259,8 +259,8 @@ def top_gap(values: np.ndarray) -> np.ndarray:
     """
     if values.shape[-1] == 1:
         return np.full(values.shape[:-1], math.inf)
-    # Indexing the transpose serves a row and a batch alike, and costs
-    # less than ``[..., k]`` on the per-sample path of ``margin``.
+    # Indexing the transpose serves a row (``_row_gap`` on a NaN or a tie)
+    # and a batch (greedy's candidates, ``margin_batch``) alike.
     part = np.partition(values, -2).T
     return part[-1] - part[-2]
 

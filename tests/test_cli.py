@@ -112,6 +112,18 @@ class TestVerify:
         assert "--repeats must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_is_usage_error(self, flip_net_path, tmp_path, capsys):
+        out = tmp_path / "r"
+        code = main(
+            [
+                "verify", "--net", flip_net_path, "--mode", "r", "--delta", "0.1",
+                "--find", "1", "--seed", "-1", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "rng_seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_budget_and_find_are_exclusive(self, flip_net_path, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(

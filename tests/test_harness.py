@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,11 +55,16 @@ def error_and_unknown_report():
         RunRecord(2, "b", (0.3, 1e-300), -0.0, "sat", False, (0.30000000000000004, 5e-324), None, 0.5),
         RunRecord(3, "b", (0.5, 0.5), 1.0, "unsat", False, None, None, 0.125),
     ]
-    return CampaignReport(
-        mode="b", delta=0.05, rng_seed=7, net_path="nets/net.relunet", records=records,
-        wall_time_s=2.25, config={"time_budget": 2.0, "seeding": {"col_num": 10}},
-        net_sha256="ab" * 32,
+    spec = CampaignSpec(
+        net_path="nets/net.relunet", mode="b", delta=0.05, time_budget=2.0, rng_seed=7,
+        seeding=SeedingConfig(col_num=10),
     )
+    return CampaignReport(spec, records, wall_time_s=2.25, net_sha256="ab" * 32)
+
+
+def flip_net_report(records):
+    spec = CampaignSpec(net_path="flip.relunet", mode="bg", delta=0.2, target_counterexamples=1)
+    return CampaignReport(spec, records)
 
 
 def fast_seeding():
@@ -90,6 +96,13 @@ class TestCampaignSpec:
         spec = CampaignSpec(net_path="x", mode="rg", delta=0.1, time_budget=1.0)
         assert spec.mode is Mode.RG
 
+    def test_net_path_coerced_to_str(self, flip_net_path, tmp_path):
+        # A path object reaches summary.json and reads back as the same spec.
+        spec = CampaignSpec(net_path=Path(flip_net_path), mode="r", delta=0.1, target_counterexamples=1)
+        assert spec.net_path == flip_net_path
+        report = run_campaign(spec)
+        assert report_read(report_write(report, tmp_path / "report")) == report
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_time_limits_must_be_finite(self, value):
         with pytest.raises(ValueError, match="time_budget"):
@@ -107,6 +120,20 @@ class TestCampaignSpec:
     def test_delta_positive(self):
         with pytest.raises(ValueError, match="delta"):
             CampaignSpec(net_path="x", mode=Mode.R, delta=0.0, time_budget=1.0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.0, "3", None])
+    def test_rng_seed_must_be_a_non_negative_integer(self, seed):
+        # np.random.default_rng's rule, checked before any campaign starts.
+        with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
+            CampaignSpec(net_path="x", mode=Mode.R, delta=0.1, time_budget=1.0, rng_seed=seed)
+
+    def test_numpy_integer_rng_seed_reads_back(self, flip_net_path, tmp_path):
+        spec = CampaignSpec(
+            net_path=flip_net_path, mode=Mode.R, delta=0.1, target_counterexamples=1, rng_seed=np.uint32(5)
+        )
+        assert spec.rng_seed == 5 and type(spec.rng_seed) is int
+        report = run_campaign(spec)
+        assert report_read(report_write(report, tmp_path / "report")) == report
 
     def test_frozen_after_checks(self):
         # A stop condition reassigned after the checks could run forever.
@@ -268,35 +295,26 @@ class TestRunCampaign:
         with pytest.raises(ReportFormatError, match="witness"):
             audit_report(load_network(flip_net_path), report)
 
+    # A delta that makes no query cannot reach audit_report: no CampaignSpec
+    # holds one (see test_malformed_summary_rejected[delta-negative]).
     @pytest.mark.parametrize(
-        "seed, delta, message",
-        [
-            ((0.4, 0.4), 0.2, "shape"),
-            ((math.nan,), 0.2, "x0 must be finite"),
-            ((0.4,), -0.2, "delta must be positive"),
-        ],
-        ids=["wrong-length-seed", "non-finite-seed", "negative-delta"],
+        "seed, message",
+        [((0.4, 0.4), "shape"), ((math.nan,), "x0 must be finite")],
+        ids=["wrong-length-seed", "non-finite-seed"],
     )
-    def test_audit_rejects_a_row_that_makes_no_query(self, seed, delta, message):
-        report = CampaignReport(
-            mode="bg", delta=delta, rng_seed=0, net_path="flip.relunet",
-            records=[RunRecord(3, "bg", seed, 0.2, "sat", True, (0.55,), None, 1.0)],
-        )
+    def test_audit_rejects_a_row_that_makes_no_query(self, seed, message):
+        report = flip_net_report([RunRecord(3, "bg", seed, 0.2, "sat", True, (0.55,), None, 1.0)])
         with pytest.raises(ReportFormatError, match=f"run 3: .*{message}"):
             audit_report(flip_net(), report)
-
 
     def test_audit_skips_non_sat_rows_and_needs_a_witness(self):
         # Rows that are not SAT are not re-validated, so seeds that make no
         # query pass; a SAT row with an empty witness cell does not.
-        report = CampaignReport(
-            mode="bg", delta=0.2, rng_seed=0, net_path="flip.relunet",
-            records=[
-                RunRecord(0, "bg", (), math.nan, "error", False, None, "boom", 1.0),
-                RunRecord(1, "bg", (0.4, 0.4), 0.2, "unsat", False, None, None, 1.0),
-                RunRecord(2, "bg", (math.nan,), 0.2, "unknown", False, None, "budget", 1.0),
-            ],
-        )
+        report = flip_net_report([
+            RunRecord(0, "bg", (), math.nan, "error", False, None, "boom", 1.0),
+            RunRecord(1, "bg", (0.4, 0.4), 0.2, "unsat", False, None, None, 1.0),
+            RunRecord(2, "bg", (math.nan,), 0.2, "unknown", False, None, "budget", 1.0),
+        ])
         audit_report(flip_net(), report)
         report.records.append(RunRecord(3, "bg", (0.4,), 0.2, "sat", True, None, None, 1.0))
         with pytest.raises(ReportFormatError, match="run 3: SAT without witness"):
@@ -366,7 +384,7 @@ class TestReportFiles:
     def test_error_and_unknown_rows_digest(self, tmp_path):
         # Pinned: the digest's shape is part of the report format.
         report = error_and_unknown_report()
-        digest = "2b0c18e7031e4bbcdda67f3dc9295d568a2c5125252414a28284a8241e263fb6"
+        digest = "a119a5260c79b2651861220524bb38c4d56312281d7516feace70c89bce2aad0"
         assert report_digest(report) == digest
         assert report_digest(report_read(report_write(report, tmp_path / "r"))) == digest
 
@@ -379,8 +397,20 @@ class TestReportFiles:
             lambda s: {**s, "rng_seed": None},
             lambda s: {**s, "delta": 10**400},
             lambda s: {k: v for k, v in s.items() if k != "mode"},
+            lambda s: {k: v for k, v in s.items() if k != "config"},
+            lambda s: {**s, "mode": "banana"},
+            lambda s: {**s, "delta": -1.0},
+            lambda s: {**s, "config": {"x": 1}},
+            lambda s: {**s, "config": {**s["config"], "target_counterexamples": 3}},
+            lambda s: {**s, "rng_seed": -5},
+            lambda s: {**s, "config": {**s["config"], "seeding": {"col_num": 0}}},
+            lambda s: {**s, "config": {**s["config"], "per_query_timeout": None}},
         ],
-        ids=["list", "number", "delta-string", "rng-seed-null", "delta-too-big", "no-mode"],
+        ids=[
+            "list", "number", "delta-string", "rng-seed-null", "delta-too-big", "no-mode", "no-config",
+            "mode-unknown", "delta-negative", "config-unknown-key", "two-stop-conditions",
+            "rng-seed-negative", "col-num-zero", "timeout-null",
+        ],
     )
     def test_malformed_summary_rejected(self, tmp_path, edit):
         out = report_write(error_and_unknown_report(), tmp_path / "report")
@@ -398,8 +428,12 @@ class TestReportFiles:
             # The last row is UNSAT, so the summary's SAT count cannot catch these.
             (lambda rows: rows[:-1] + [rows[-1][:5] + ["7"] + rows[-1][6:]], "flag must be 0 or 1, got '7'"),
             (lambda rows: rows[:-1] + [rows[-1][:4] + ["banana"] + rows[-1][5:]], "outcome must be one of"),
+            (lambda rows: rows[:-1] + [rows[-1][:1] + ["bg"] + rows[-1][2:]], "run 3: mode 'bg' is not the summary's"),
         ],
-        ids=["wrong-header", "short-row", "unparseable-float", "flag-not-0-or-1", "unknown-outcome"],
+        ids=[
+            "wrong-header", "short-row", "unparseable-float", "flag-not-0-or-1", "unknown-outcome",
+            "mode-not-the-summary's",
+        ],
     )
     def test_malformed_runs_rejected(self, tmp_path, edit, message):
         out = report_write(error_and_unknown_report(), tmp_path / "report")
@@ -411,16 +445,23 @@ class TestReportFiles:
             report_read(out)
 
     def test_absent_summary_keys_take_defaults(self, tmp_path):
+        # Only the report's own fields, the aggregates and the keys inside
+        # config may be absent; an absent config is refused (no-config above).
         report = error_and_unknown_report()
         out = report_write(report, tmp_path / "report")
         summary = json.loads((out / "summary.json").read_text())
-        for key in ("config", "net_sha256", "wall_time_s", "rate"):
+        for key in ("net_sha256", "wall_time_s", "rate"):
             del summary[key]
+        for key in ("target_counterexamples", "per_query_timeout", "seeding"):
+            del summary["config"][key]
         summary["delta"] = 1
         (out / "summary.json").write_text(json.dumps(summary))
         back = report_read(out)
-        assert (back.config, back.net_sha256, back.wall_time_s) == ({}, "", 0.0)
-        assert back.delta == 1.0 and isinstance(back.delta, float)
+        assert (back.net_sha256, back.wall_time_s) == ("", 0.0)
+        assert back.spec == CampaignSpec(
+            net_path="nets/net.relunet", mode=Mode.B, delta=1.0, time_budget=2.0, rng_seed=7
+        )
+        assert back.spec.delta == 1.0 and isinstance(back.spec.delta, float)
 
     def test_columns_follow_run_record_fields(self):
         assert list(harness._COLUMNS) == [f.name for f in dataclasses.fields(RunRecord)]

@@ -222,7 +222,8 @@ class TestFloatText:
             assert got.tobytes() == want.tobytes()
         # Through runs.csv cells: a float column and a point column.
         record = harness.RunRecord(0, "r", (x, x), x, "sat", False, (x,), None, x)
-        report = harness.CampaignReport(mode="r", delta=0.1, rng_seed=0, net_path="n", records=[record])
+        spec = harness.CampaignSpec(net_path="n", mode="r", delta=0.1, time_budget=1.0)
+        report = harness.CampaignReport(spec, [record])
         with tempfile.TemporaryDirectory() as out:
             harness.report_write(report, out)
             back = harness.report_read(out).records[0]
