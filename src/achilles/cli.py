@@ -165,8 +165,7 @@ def _cmd_gen_net(args) -> int:
 
 def _cmd_oracle(args) -> int:
     net = load_network(args.net)
-    x0 = np.array(args.x0, dtype=np.float64)
-    query = VerificationQuery.for_point(net, x0, args.delta)
+    query = VerificationQuery(net, args.x0, args.delta)
     spacing = args.spacing if args.spacing is not None else args.delta / 50.0
     result = grid_oracle(net, query, spacing)
     if result.outcome is GridOutcome.SAT:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import Network, forward_batch, margin, top_gap
-from .verifier import VerificationQuery, _query_region
+from .nn import Network, forward_batch, top_gap
+from .verifier import VerificationQuery
 
 __all__ = ["SearchOutcome", "gen_neighbors", "greedy_search"]
 
@@ -74,11 +74,8 @@ def greedy_search(net: Network, query: VerificationQuery, *, record_trace: bool 
     returned point is a genuine counter-example for the query.  Fully
     deterministic.
     """
-    lo, hi = _query_region(net, query)
-    x, delta = query.x0, query.delta
-    current = margin(net, x)
-    step = delta / 2.0
-    floor = delta / 1024.0
+    x, current, lo, hi = query.x0, query.margin0, query.lo, query.hi
+    step, floor = query.delta / 2.0, query.delta / 1024.0
     iterations = 0
     trace: list[tuple[float, float]] | None = [] if record_trace else None
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .greedy import greedy_search
-from .nn import Network, format_float, load_network, margin
+from .nn import Network, format_float, load_network
 from .seeding import SeedingConfig, ThresholdState, generate_seed, make_threshold_state, random_sample
 from .verifier import VerdictKind, VerificationQuery, check_witness, verify_local_robustness
 
@@ -99,17 +99,19 @@ class CampaignSpec:
             raise ValueError("set exactly one stop condition: time_budget or target_counterexamples")
         if self.time_budget is not None and not (math.isfinite(self.time_budget) and self.time_budget >= 0):
             raise ValueError("time_budget must be non-negative and finite")
-        if self.target_counterexamples is not None and self.target_counterexamples < 0:
-            raise ValueError("target_counterexamples must be non-negative")
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise ValueError("delta must be positive and finite")
         if not (math.isfinite(self.per_query_timeout) and self.per_query_timeout > 0):
             raise ValueError("per_query_timeout must be positive and finite")
-        # np.random.default_rng's own rule, checked before the campaign starts;
-        # a numpy integer is stored as an int, which summary.json can hold.
-        if not (isinstance(self.rng_seed, (int, np.integer)) and self.rng_seed >= 0):
-            raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
-        object.__setattr__(self, "rng_seed", int(self.rng_seed))
+        # np.random.default_rng's rule for rng_seed, and for a target too; a
+        # numpy integer is stored as an int, which summary.json can hold.
+        for name in ("target_counterexamples", "rng_seed"):
+            value = getattr(self, name)
+            if value is None and name in _STOP_CONDITIONS:
+                continue
+            if not (isinstance(value, (int, np.integer)) and value >= 0):
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass(slots=True)
@@ -183,8 +185,8 @@ def run_query(
         else:
             seed = random_sample(net, rng)
         record.seed = _point(seed)
-        record.seed_margin = margin(net, seed)
-        query = VerificationQuery.for_point(net, seed, delta, time_budget=per_query_timeout)
+        query = VerificationQuery(net, seed, delta, time_budget=per_query_timeout)
+        record.seed_margin = query.margin0
         found = greedy_search(net, query) if mode.greedy else None
         if found is not None and found.found:
             record.outcome, record.greedy_found = "sat", True
@@ -250,7 +252,7 @@ def audit_report(net: Network, report: CampaignReport) -> None:
         if record.witness is None:
             raise ReportFormatError(f"run {record.index}: SAT without witness")
         try:
-            query = VerificationQuery.for_point(net, record.seed, report.spec.delta)
+            query = VerificationQuery(net, record.seed, report.spec.delta)
         except ValueError as exc:
             raise ReportFormatError(f"run {record.index}: {exc}") from None
         if not check_witness(net, query, np.array(record.witness)):
@@ -307,14 +309,15 @@ _COLUMNS = {
 }
 _CELL_FORMATS = {float: format_float, _unpack_floats: _pack_floats, _parse_flag: int}
 _DIGEST_FORMATS = {float: format_float, _unpack_floats: lambda values: [format_float(v) for v in values]}
-# summary.json: each key but the aggregates, with its value's JSON type (a
-# dict is a nested object).  Four spec fields sit at the top, the rest in "config".
+# summary.json: each key with its value's JSON type (a dict is a nested
+# object).  Four spec fields sit at the top, the rest in "config"; the
+# aggregates are CampaignReport properties, checked against the runs.
 _SPEC_TOP = {"net_path": str, "mode": str, "delta": float, "rng_seed": int}
 _SEEDING = {"sample_set_size": int, "col_num": int, "threshold_strategy": str}
 _CONFIG = {"time_budget": float, "target_counterexamples": int, "per_query_timeout": float, "seeding": _SEEDING}
-_SUMMARY_KEYS = _SPEC_TOP | {"config": _CONFIG, "wall_time_s": float, "net_sha256": str}
+_AGGREGATES = {"runs": int, "sat_total": int, "sat_by_greedy": int, "rate": float}
+_SUMMARY_KEYS = _SPEC_TOP | {"config": _CONFIG, "wall_time_s": float, "net_sha256": str} | _AGGREGATES
 _STOP_CONDITIONS = ("time_budget", "target_counterexamples")  # the unset one is null
-_AGGREGATES = ("runs", "sat_total", "sat_by_greedy", "rate")
 
 
 def _formatted(record: RunRecord, name: str, formats: dict):
@@ -366,7 +369,7 @@ def report_read(out_dir) -> CampaignReport:
 
     The spec is rebuilt through ``CampaignSpec`` and ``SeedingConfig``, so
     their rules guard a read report too.  Also refused: a value of the
-    wrong JSON type, a key ``config`` does not know, a run whose ``mode``
+    wrong JSON type, a key the format does not know, a run whose ``mode``
     is not the spec's, and an aggregate the runs disagree with.  Only
     ``wall_time_s``, ``net_sha256``, the aggregates and keys inside
     ``config`` may be absent; each takes its default.
@@ -377,10 +380,8 @@ def report_read(out_dir) -> CampaignReport:
             summary = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ReportFormatError(f"cannot read summary: {exc}") from None
-    if not isinstance(summary, dict):
-        raise ReportFormatError("summary.json does not hold a JSON object")
-    known = [name for name in _SUMMARY_KEYS if name in summary]
-    values = {name: _summary_value(name, summary[name], _SUMMARY_KEYS[name]) for name in known}
+    values = _summary_value("top level", summary, _SUMMARY_KEYS)
+    aggregates = {key: values.pop(key) for key in _AGGREGATES if key in values}
     try:
         config = values.pop("config")
         seeding = SeedingConfig(**config.pop("seeding", {}))
@@ -411,9 +412,9 @@ def report_read(out_dir) -> CampaignReport:
     except ValueError as exc:
         raise ReportFormatError(f"malformed runs.csv: {exc}") from None
     report = CampaignReport(spec, records, **values)
-    for key in _AGGREGATES:
-        if key in summary and summary[key] != getattr(report, key):
-            raise ReportFormatError(f"summary {key}={summary[key]} disagrees with runs.csv")
+    for key, value in aggregates.items():
+        if value != getattr(report, key):
+            raise ReportFormatError(f"summary {key}={value} disagrees with runs.csv")
     return report
 
 

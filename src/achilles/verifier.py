@@ -13,15 +13,18 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .nn import (
     Network,
+    _as_input,
     _backward,
+    _frozen_array,
     _layer_values,
+    _row_gap,
     classify,
     forward_batch,
     lipschitz_bound,
@@ -66,29 +69,58 @@ class GridOutcome(Enum):
 @dataclass(frozen=True, eq=False)
 class VerificationQuery:
     """One local-robustness question: does any point within ``delta`` of
-    ``x0`` (inside the input box) classify differently from ``label0``?"""
+    ``x0`` (inside the input box) classify differently from ``label0``?
 
+    Built from its network, which it does not keep: one pass at x0 gives
+    ``label0`` and ``margin0``, and ``[lo, hi]`` is the ball clipped to the
+    input box.  ``x0``, ``lo`` and ``hi`` are read-only copies.
+    """
+
+    net: InitVar[Network]
     x0: np.ndarray
     delta: float
-    label0: int
     time_budget: float = 60.0
+    label0: int = field(init=False)
+    margin0: float = field(init=False)
+    lo: np.ndarray = field(init=False)
+    hi: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=np.float64))
+    def __post_init__(self, net: Network):
+        x0, delta = _frozen_array(_as_input(net, self.x0)), self.delta
         # NaN compares false against every bound, so a NaN centre gives
         # a NaN box that the interval check would certify UNSAT.
-        if not np.isfinite(self.x0).all():
+        if not np.isfinite(x0).all():
             raise ValueError("x0 must be finite")
-        if not (math.isfinite(self.delta) and self.delta > 0):
+        if not (math.isfinite(delta) and delta > 0):
             raise ValueError("delta must be positive and finite")
         if not (math.isfinite(self.time_budget) and self.time_budget > 0):
             raise ValueError("time_budget must be positive and finite")
+        lo, hi = x0 - delta, x0 + delta
+        # Rounding may push a bound further than delta from x0; pull it back
+        # so distance checks on points at the bound never fail.
+        for bound in (lo, hi):
+            over = np.abs(bound - x0) > delta
+            while over.any():
+                bound[over] = np.nextafter(bound[over], x0[over])
+                over = np.abs(bound - x0) > delta
+        lo = np.maximum(lo, net.input_lower)
+        hi = np.minimum(hi, net.input_upper)
+        # Every point inside the box is within delta of x0 in floating point.
+        if (lo > hi).any():
+            raise ValueError("perturbation ball does not intersect the input box")
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        values = _layer_values(net._layers, x0)
+        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "label0", int(np.argmax(values)))
+        object.__setattr__(self, "margin0", _row_gap(values))
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @classmethod
     def for_point(cls, net: Network, x0, delta: float, **kwargs) -> "VerificationQuery":
-        """Build a query with the label taken from the network itself."""
-        return cls(x0=np.asarray(x0, dtype=np.float64), delta=delta,
-                   label0=classify(net, x0), **kwargs)
+        """The constructor under its older name."""
+        return cls(net, x0, delta, **kwargs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,34 +224,6 @@ def _probe(net, lo, hi, label0):
     return None
 
 
-def _query_region(net: Network, query: VerificationQuery) -> tuple[np.ndarray, np.ndarray]:
-    """The query's box: the L-inf ball of radius ``delta`` around x0,
-    clipped to the input box, once ``label0`` is checked to be x0's label.
-
-    Every point inside the box is within ``delta`` of x0 in floating-point
-    arithmetic.  Raises ``ValueError`` when the ball misses the input box.
-    """
-    x0, delta = query.x0, query.delta
-    if classify(net, x0) != query.label0:
-        raise ValueError(
-            f"query label {query.label0} is not the network's label for x0"
-        )
-    lo = x0 - delta
-    hi = x0 + delta
-    # Rounding may push a bound further than delta from x0; pull it back
-    # so distance checks on points at the bound never fail.
-    for bound in (lo, hi):
-        over = np.abs(bound - x0) > delta
-        while over.any():
-            bound[over] = np.nextafter(bound[over], x0[over])
-            over = np.abs(bound - x0) > delta
-    lo = np.maximum(lo, net.input_lower)
-    hi = np.minimum(hi, net.input_upper)
-    if (lo > hi).any():
-        raise ValueError("perturbation ball does not intersect the input box")
-    return lo, hi
-
-
 def verify_local_robustness(net: Network, query: VerificationQuery) -> Verdict:
     """Decide a local-robustness query by input-domain branch and bound.
 
@@ -238,7 +242,6 @@ def verify_local_robustness(net: Network, query: VerificationQuery) -> Verdict:
     """
     start = time.perf_counter()
     deadline = start + query.time_budget
-    lo, hi = _query_region(net, query)
     min_width = query.delta * _PRECISION_FLOOR
     layers = net._interval_layers
 
@@ -267,7 +270,7 @@ def verify_local_robustness(net: Network, query: VerificationQuery) -> Verdict:
             if not gap > 0:
                 heapq.heappush(heap, (gap, next(tie), depth, box_lo, box_hi))
 
-    push(lo[np.newaxis], hi[np.newaxis], 0)
+    push(query.lo[np.newaxis], query.hi[np.newaxis], 0)
     while heap:
         if time.perf_counter() > deadline:
             return finish(VerdictKind.UNKNOWN, reason=BUDGET)
@@ -331,8 +334,7 @@ def grid_oracle(net: Network, query: VerificationQuery, spacing: float) -> GridR
         raise ValueError(
             f"grid oracle supports at most {_MAX_ORACLE_DIMS} input dimensions"
         )
-    lo, hi = _query_region(net, query)
-    widths = (hi - lo).tolist()
+    widths = (query.hi - query.lo).tolist()
     # In Python floats a tiny spacing gives an infinite ratio, not a numpy
     # overflow warning, and the clamp counts it as too many points.
     counts = [
@@ -345,7 +347,7 @@ def grid_oracle(net: Network, query: VerificationQuery, spacing: float) -> GridR
         )
     axes = []
     realized = 0.0
-    for low, high, width, n in zip(lo, hi, widths, counts):
+    for low, high, width, n in zip(query.lo, query.hi, widths, counts):
         axes.append(np.linspace(low, high, n))
         if n > 1:
             realized = max(realized, width / (n - 1))

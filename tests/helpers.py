@@ -23,7 +23,6 @@ from achilles import (
     margin,
     random_sample,
 )
-from achilles.verifier import _query_region
 
 
 def rational_forward(weights, biases, x):
@@ -178,8 +177,7 @@ def reference_greedy_search(net, query, record_trace=False):
     round without a move; the search gives up below delta / 1024 or after
     10,000 rounds.
     """
-    lo, hi = _query_region(net, query)
-    x, delta, label0 = query.x0, query.delta, query.label0
+    x, delta, label0, lo, hi = query.x0, query.delta, query.label0, query.lo, query.hi
     current = _row_margin(forward_batch(net, x[np.newaxis, :])[0])
     step = delta / 2.0
     iterations = 0

@@ -68,7 +68,7 @@ def _oracle_sat_fraction(net, delta, probes, seed):
     hits = 0
     for _ in range(probes):
         x0 = rng.uniform(0, 1, size=net.input_size)
-        query = VerificationQuery.for_point(net, x0, float(delta))
+        query = VerificationQuery(net, x0, float(delta))
         if grid_oracle(net, query, spacing=delta / 25.0).outcome is GridOutcome.SAT:
             hits += 1
     return hits / probes
@@ -166,7 +166,7 @@ class TestCriterion2:
             for _ in range(20):
                 x0 = rng.uniform(0, 1, size=net.input_size)
                 delta = float(np.exp(rng.uniform(np.log(0.02), np.log(0.3))))
-                query = VerificationQuery.for_point(net, x0, delta, time_budget=10.0)
+                query = VerificationQuery(net, x0, delta, time_budget=10.0)
                 verdict = verify_local_robustness(net, query)
                 oracle = grid_oracle(net, query, spacing=delta / 10.0)
                 sat_vs_unsat = (
@@ -198,7 +198,7 @@ class TestCriterion3:
             for _ in range(50):
                 x0 = rng.uniform(0, 1, size=2)
                 delta = float(rng.uniform(0.02, 0.2))
-                query = VerificationQuery.for_point(net, x0, delta)
+                query = VerificationQuery(net, x0, delta)
                 outcome = greedy_search(net, query, record_trace=True)
                 searches += 1
                 if outcome.found:

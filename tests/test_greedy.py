@@ -13,7 +13,6 @@ from achilles import (
     random_network,
     verify_local_robustness,
 )
-from achilles.verifier import _query_region
 from helpers import (
     assert_valid_trace,
     constant_margin_net,
@@ -46,8 +45,8 @@ class TestGenNeighbors:
         # The query box of x0 = (0.5, 0.5) with delta 0.25: x is on its
         # surface in dimension 1, so the outward move clips back and drops.
         net = zero_net()
-        lo, hi = _query_region(net, VerificationQuery.for_point(net, [0.5, 0.5], 0.25))
-        got = gen_neighbors([0.5, 0.75], 0.125, lo, hi)
+        query = VerificationQuery(net, [0.5, 0.5], 0.25)
+        got = gen_neighbors([0.5, 0.75], 0.125, query.lo, query.hi)
         assert not any(np.array_equal(c, [0.5, 0.875]) for c in got)
         assert len(got) == 3
 
@@ -61,7 +60,7 @@ class TestGreedySearch:
         # Margin is constant, so no neighbor ever improves: the step
         # halves from delta / 2 down to delta / 1024, 10 rounds, never moving.
         net = constant_margin_net(gap=1.0, n_inputs=2)
-        out = greedy_search(net, VerificationQuery.for_point(net, [0.5, 0.5], 0.1), record_trace=True)
+        out = greedy_search(net, VerificationQuery(net, [0.5, 0.5], 0.1), record_trace=True)
         assert not out.found
         assert out.iterations == 10
         steps = [row[0] for row in out.trace]
@@ -74,13 +73,13 @@ class TestGreedySearch:
         # inside the ball is impossible; the search may still descend.
         base = random_network([2, 6, 2], 10)
         net = dominate_class(base, target_margin=1.0)
-        out = greedy_search(net, VerificationQuery.for_point(net, [0.5, 0.5], 0.1), record_trace=True)
+        out = greedy_search(net, VerificationQuery(net, [0.5, 0.5], 0.1), record_trace=True)
         assert not out.found
         assert_valid_trace(out.trace)
 
     def test_flip_net_finds_counter_example(self):
         net = flip_net()
-        out = greedy_search(net, VerificationQuery.for_point(net, [0.4], 0.2))
+        out = greedy_search(net, VerificationQuery(net, [0.4], 0.2))
         assert out.found
         ce = out.counter_example
         assert ce[0] >= 0.5  # the label flips exactly at 0.5
@@ -93,7 +92,7 @@ class TestGreedySearch:
         moves = 0
         for _ in range(40):
             x0 = rng.uniform(0, 1, size=2)
-            out = greedy_search(net, VerificationQuery.for_point(net, x0, 0.05), record_trace=True)
+            out = greedy_search(net, VerificationQuery(net, x0, 0.05), record_trace=True)
             moves += assert_valid_trace(out.trace)
         assert moves > 0
 
@@ -107,7 +106,7 @@ class TestGreedySearch:
                 x0 = rng.uniform(0, 1, size=2)
                 delta = float(rng.uniform(0.02, 0.2))
                 queries += 1
-                query = VerificationQuery.for_point(net, x0, delta, time_budget=10.0)
+                query = VerificationQuery(net, x0, delta, time_budget=10.0)
                 out = greedy_search(net, query)
                 if out.found:
                     hits += 1
@@ -128,7 +127,7 @@ class TestGreedySearch:
 
     def test_pure_function(self):
         net = random_network([3, 6, 3], 17)
-        query = VerificationQuery.for_point(net, [0.2, 0.8, 0.5], 0.1)
+        query = VerificationQuery(net, [0.2, 0.8, 0.5], 0.1)
         a = greedy_search(net, query, record_trace=True)
         b = greedy_search(net, query, record_trace=True)
         assert a.iterations == b.iterations
@@ -139,7 +138,7 @@ class TestGreedySearch:
     def test_zero_net_never_finds(self):
         # Ties break toward label 0 everywhere: no flip exists.
         net = zero_net()
-        out = greedy_search(net, VerificationQuery.for_point(net, [0.5, 0.5], 0.25))
+        out = greedy_search(net, VerificationQuery(net, [0.5, 0.5], 0.25))
         assert not out.found
 
     @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf"), 0.0, -0.1])
@@ -147,11 +146,11 @@ class TestGreedySearch:
         # The query refuses it before any stage can see it.
         net = flip_net()
         with pytest.raises(ValueError, match="delta"):
-            greedy_search(net, VerificationQuery.for_point(net, [0.4], delta))
+            greedy_search(net, VerificationQuery(net, [0.4], delta))
 
     def test_final_margin_reported(self):
         net = flip_net()
-        out = greedy_search(net, VerificationQuery.for_point(net, [0.4], 0.2))
+        out = greedy_search(net, VerificationQuery(net, [0.4], 0.2))
         assert out.final_margin == margin(net, out.counter_example)
 
 
@@ -171,7 +170,7 @@ class TestAgainstReference:
     ):
         net = random_network([inputs, hidden, outputs], net_seed, weight_scale=scale)
         x0 = np.random.default_rng(point_seed).uniform(0, 1, size=inputs)
-        query = VerificationQuery.for_point(net, x0, delta)
+        query = VerificationQuery(net, x0, delta)
         got = greedy_search(net, query, record_trace=True)
         want = reference_greedy_search(net, query, record_trace=True)
         assert got.found == want.found

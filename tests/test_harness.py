@@ -127,6 +127,18 @@ class TestCampaignSpec:
         with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
             CampaignSpec(net_path="x", mode=Mode.R, delta=0.1, time_budget=1.0, rng_seed=seed)
 
+    @pytest.mark.parametrize("target", [1.5, 2.0, "3"])
+    def test_target_must_be_a_non_negative_integer(self, target):
+        # A float target used to run, and its report then failed to read back.
+        with pytest.raises(ValueError, match="target_counterexamples must be a non-negative integer"):
+            CampaignSpec(net_path="x", mode=Mode.R, delta=0.1, target_counterexamples=target)
+
+    def test_numpy_integer_target_reads_back(self, flip_net_path, tmp_path):
+        spec = CampaignSpec(net_path=flip_net_path, mode=Mode.R, delta=0.1, target_counterexamples=np.int64(1))
+        assert spec.target_counterexamples == 1 and type(spec.target_counterexamples) is int
+        report = run_campaign(spec)
+        assert report_read(report_write(report, tmp_path / "report")) == report
+
     def test_numpy_integer_rng_seed_reads_back(self, flip_net_path, tmp_path):
         spec = CampaignSpec(
             net_path=flip_net_path, mode=Mode.R, delta=0.1, target_counterexamples=1, rng_seed=np.uint32(5)
@@ -405,11 +417,14 @@ class TestReportFiles:
             lambda s: {**s, "rng_seed": -5},
             lambda s: {**s, "config": {**s["config"], "seeding": {"col_num": 0}}},
             lambda s: {**s, "config": {**s["config"], "per_query_timeout": None}},
+            lambda s: {**{k: v for k, v in s.items() if k != "wall_time_s"}, "wall_time": s["wall_time_s"]},
+            lambda s: {**s, "sat_total": float(s["sat_total"])},
         ],
         ids=[
             "list", "number", "delta-string", "rng-seed-null", "delta-too-big", "no-mode", "no-config",
             "mode-unknown", "delta-negative", "config-unknown-key", "two-stop-conditions",
-            "rng-seed-negative", "col-num-zero", "timeout-null",
+            "rng-seed-negative", "col-num-zero", "timeout-null", "top-level-unknown-key",
+            "sat-total-float",
         ],
     )
     def test_malformed_summary_rejected(self, tmp_path, edit):

@@ -24,7 +24,6 @@ from achilles import (
     save_network,
     top_gap,
 )
-from achilles.verifier import _query_region
 from helpers import (
     fd_gradient,
     net_from_lists,
@@ -577,12 +576,10 @@ class TestPerturbationRegion:
     def test_negative_or_nan_radius_rejected(self, radius):
         net = zero_net()
         with pytest.raises(ValueError, match="delta must be positive"):
-            _query_region(net, VerificationQuery.for_point(net, [0.5, 0.5], radius))
+            VerificationQuery(net, [0.5, 0.5], radius)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_center_rejected(self, bad):
         # NaN fails every comparison, so the bounds would come back NaN.
         with pytest.raises(ValueError, match="x0 must be finite"):
-            _query_region(
-                zero_net(), VerificationQuery(x0=np.array([bad, 0.5]), delta=0.1, label0=0)
-            )
+            VerificationQuery(zero_net(), [bad, 0.5], 0.1)

@@ -12,7 +12,6 @@ from achilles import (
     check_witness,
     classify,
     forward_batch,
-    greedy_search,
     grid_oracle,
     interval_bounds,
     lipschitz_bound,
@@ -22,7 +21,7 @@ from achilles import (
     random_sample,
     verify_local_robustness,
 )
-from achilles.verifier import _certification_gap, _propagate, _query_region
+from achilles.verifier import _certification_gap, _propagate
 from helpers import flip_net, net_from_lists, rational_forward, zero_net
 
 
@@ -129,20 +128,67 @@ class TestIntervalBounds:
             interval_bounds(zero_net(), [0.0, 0.0], [0.5, bad])
 
 
+class TestVerificationQuery:
+    @pytest.mark.parametrize("inputs", [1, 2, 3, 10])
+    def test_label_and_margin_are_the_seed_pass(self, inputs):
+        # The query's one pass at x0 has the bits of classify and margin.
+        rng = np.random.default_rng(inputs)
+        for net_seed in range(4):
+            net = random_network([inputs, 8, 8, 3], 100 * inputs + net_seed, weight_scale=2.0)
+            for x0 in rng.uniform(0.0, 1.0, size=(25, inputs)):
+                query = VerificationQuery(net, x0, 0.05)
+                assert query.label0 == classify(net, x0)
+                assert repr(query.margin0) == repr(margin(net, x0))
+
+    def test_tie_and_single_output_margins(self):
+        assert VerificationQuery(zero_net(), [0.5, 0.5], 0.1).margin0 == 0.0
+        single = net_from_lists([[[1.0]], [[1.0]]], [[0.0], [0.0]], [0.0], [1.0])
+        query = VerificationQuery(single, [0.5], 0.1)
+        assert (query.label0, query.margin0) == (0, np.inf)
+
+    @pytest.mark.parametrize("name", ["label0", "margin0", "lo", "hi"])
+    def test_derived_fields_cannot_be_passed_in(self, name):
+        with pytest.raises(TypeError):
+            VerificationQuery(flip_net(), [0.4], 0.1, **{name: 0})
+
+    def test_arrays_are_read_only_copies(self):
+        # A caller's later write to its x0 cannot move the derived facts.
+        x0 = np.array([0.4])
+        query = VerificationQuery(flip_net(), x0, 0.1)
+        x0[0] = 0.9
+        assert query.x0[0] == 0.4 and query.label0 == 1
+        for array in (query.x0, query.lo, query.hi):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+
+    def test_wrong_shape_x0_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            VerificationQuery(flip_net(), [0.4, 0.4], 0.1)
+
+    def test_for_point_is_the_constructor(self):
+        net = random_network([3, 6, 3], 5)
+        x0 = [0.2, 0.5, 0.9]
+        a = VerificationQuery.for_point(net, x0, 0.3, time_budget=5.0)
+        b = VerificationQuery(net, x0, 0.3, time_budget=5.0)
+        assert (a.label0, a.margin0, a.delta, a.time_budget) == (b.label0, b.margin0, b.delta, b.time_budget)
+        for name in ("x0", "lo", "hi"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
 class TestQueryRegion:
     def test_clipped_to_box(self):
         # Dyadic coordinates so the expected bounds are float-exact.
         net = zero_net()
-        lo, hi = _query_region(net, VerificationQuery.for_point(net, [0.25, 0.875], 0.5))
-        assert np.array_equal(lo, [0.0, 0.375])
-        assert np.array_equal(hi, [0.75, 1.0])
+        query = VerificationQuery(net, [0.25, 0.875], 0.5)
+        assert np.array_equal(query.lo, [0.0, 0.375])
+        assert np.array_equal(query.hi, [0.75, 1.0])
 
     def test_bounds_stay_within_delta(self):
         net = zero_net(lower=-10.0, upper=10.0)
         x0 = np.array([0.1, 0.3])
-        lo, hi = _query_region(net, VerificationQuery.for_point(net, x0, 0.2))
-        assert (np.abs(lo - x0) <= 0.2).all()
-        assert (np.abs(hi - x0) <= 0.2).all()
+        query = VerificationQuery(net, x0, 0.2)
+        assert (np.abs(query.lo - x0) <= 0.2).all()
+        assert (np.abs(query.hi - x0) <= 0.2).all()
 
     @settings(deadline=None)
     @given(
@@ -158,8 +204,8 @@ class TestQueryRegion:
     ):
         net = zero_net(sizes=(dims, 2, 2), lower=lower, upper=lower + width)
         x0 = np.minimum(lower + width * np.array(fractions[:dims]), net.input_upper)
-        lo, hi = _query_region(net, VerificationQuery.for_point(net, x0, delta))
-        for corner in itertools.product(*zip(lo, hi)):
+        query = VerificationQuery(net, x0, delta)
+        for corner in itertools.product(*zip(query.lo, query.hi)):
             corner = np.array(corner)
             assert np.abs(corner - x0).max() <= delta
             assert net.contains(corner)
@@ -167,7 +213,7 @@ class TestQueryRegion:
     def test_disjoint_ball_rejected(self):
         net = zero_net()
         with pytest.raises(ValueError, match="does not intersect"):
-            _query_region(net, VerificationQuery.for_point(net, [5.0, 5.0], 0.5))
+            VerificationQuery(net, [5.0, 5.0], 0.5)
 
 
 class TestCertificationGap:
@@ -183,7 +229,7 @@ class TestCertificationGap:
 
     def test_single_output_net_is_unsat(self):
         net = net_from_lists([[[1.0]], [[1.0]]], [[0.0], [0.0]], [0.0], [1.0])
-        query = VerificationQuery.for_point(net, [0.5], 0.25)
+        query = VerificationQuery(net, [0.5], 0.25)
         assert verify_local_robustness(net, query).kind is VerdictKind.UNSAT
         assert grid_oracle(net, query, spacing=0.01).outcome is GridOutcome.UNSAT
 
@@ -194,14 +240,14 @@ class TestVerify:
         # margin(0.1) = 0.8 > 2 * L * delta = 0.1: certification inevitable.
         assert margin(net, [0.1]) > 2 * lipschitz_bound(net) * 0.05
         verdict = verify_local_robustness(
-            net, VerificationQuery.for_point(net, [0.1], 0.05)
+            net, VerificationQuery(net, [0.1], 0.05)
         )
         assert verdict.kind is VerdictKind.UNSAT
         assert verdict.boxes_explored <= 3
 
     def test_flip_net_sat_with_witness_past_boundary(self):
         net = flip_net()
-        query = VerificationQuery.for_point(net, [0.4], 0.2)
+        query = VerificationQuery(net, [0.4], 0.2)
         verdict = verify_local_robustness(net, query)
         assert verdict.kind is VerdictKind.SAT
         assert verdict.witness[0] >= 0.5
@@ -214,21 +260,20 @@ class TestVerify:
         verdict = None
         for _ in range(50):
             x0 = rng.uniform(0, 1, size=2)
-            candidate = VerificationQuery.for_point(net, x0, 0.02, time_budget=10.0)
+            candidate = VerificationQuery(net, x0, 0.02, time_budget=10.0)
             result = verify_local_robustness(net, candidate)
             if result.kind is VerdictKind.UNSAT:
                 query, verdict = candidate, result
                 break
         assert verdict is not None, "no UNSAT query found to falsify"
-        lo, hi = _query_region(net, query)
-        points = rng.uniform(lo, hi, size=(100_000, 2))
+        points = rng.uniform(query.lo, query.hi, size=(100_000, 2))
         assert (np.argmax(forward_batch(net, points), axis=1) == query.label0).all()
 
     def test_budget_exhaustion(self):
         # The zero net never certifies (all outputs tie) and never
         # misclassifies; a tiny budget must stop the search.
         net = zero_net()
-        query = VerificationQuery.for_point(net, [0.5, 0.5], 0.25, time_budget=0.05)
+        query = VerificationQuery(net, [0.5, 0.5], 0.25, time_budget=0.05)
         verdict = verify_local_robustness(net, query)
         assert verdict.kind is VerdictKind.UNKNOWN
         assert verdict.reason == "budget"
@@ -243,7 +288,7 @@ class TestVerify:
             lower=[0.0],
             upper=[1.0],
         )
-        query = VerificationQuery.for_point(net, [0.5], 0.25, time_budget=30.0)
+        query = VerificationQuery(net, [0.5], 0.25, time_budget=30.0)
         verdict = verify_local_robustness(net, query)
         assert verdict.kind is VerdictKind.UNKNOWN
         assert verdict.reason == "precision"
@@ -266,45 +311,35 @@ class TestVerify:
             upper=[1.0],
         )
         with np.errstate(over="ignore", invalid="ignore"):
-            query = VerificationQuery.for_point(net, [0.94], 0.05)
+            query = VerificationQuery(net, [0.94], 0.05)
             assert check_witness(net, query, [0.96])
             verdict = verify_local_robustness(net, query)
         assert verdict.kind is VerdictKind.SAT
         assert check_witness(net, query, verdict.witness)
 
-    def test_label_consistency_checked(self):
-        # flip_net labels 0.4 as class 1; every stage refuses label 0.
-        net = flip_net()
-        query = VerificationQuery(x0=np.array([0.4]), delta=0.1, label0=0)
-        for stage in (_query_region, greedy_search, verify_local_robustness):
-            with pytest.raises(ValueError, match="not the network's label"):
-                stage(net, query)
-
     def test_nan_time_budget_rejected(self):
         # NaN compares False against every bound, so the budget check
         # inside the search would never fire.
         with pytest.raises(ValueError, match="time_budget"):
-            VerificationQuery(x0=np.array([0.4]), delta=0.1, label0=0, time_budget=float("nan"))
+            VerificationQuery(flip_net(), [0.4], 0.1, time_budget=float("nan"))
 
     def test_infinite_time_budget_rejected(self):
         # With no time limit, a 10-input query that neither certifies nor
         # falsifies ends only at the precision floor: in effect, never.
         with pytest.raises(ValueError, match="time_budget"):
-            VerificationQuery(x0=np.array([0.4]), delta=0.1, label0=0, time_budget=float("inf"))
+            VerificationQuery(flip_net(), [0.4], 0.1, time_budget=float("inf"))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_x0_rejected(self, bad):
         # NaN fails every bound check, so the search would certify a NaN
         # centre UNSAT (it did on random_network([2, 8, 2], 3)).
         with pytest.raises(ValueError, match="x0 must be finite"):
-            VerificationQuery(x0=np.array([bad, 0.5]), delta=0.1, label0=0)
+            VerificationQuery(zero_net(), [bad, 0.5], 0.1)
 
     def test_ball_outside_box_rejected(self):
-        net = flip_net()
+        # Refused when the query is built, before any stage runs.
         with pytest.raises(ValueError, match="intersect"):
-            verify_local_robustness(
-                net, VerificationQuery(x0=np.array([3.0]), delta=0.5, label0=0)
-            )
+            VerificationQuery(flip_net(), [3.0], 0.5)
 
     def test_gradient_corner_found_at_root(self):
         # On [0, 1]^10, out1 = s @ x - 4.99 with s = (1, -1, 1, -1, ...) and
@@ -316,7 +351,7 @@ class TestVerify:
             [np.eye(10), [np.zeros(10), signs]], [np.zeros(10), [0.0, -4.99]],
             lower=np.zeros(10), upper=np.ones(10),
         )
-        query = VerificationQuery.for_point(net, np.full(10, 0.5), 0.5)
+        query = VerificationQuery(net, np.full(10, 0.5), 0.5)
         assert query.label0 == 0
         verdict = verify_local_robustness(net, query)
         assert verdict.kind is VerdictKind.SAT
@@ -333,7 +368,7 @@ class TestVerify:
         points = [random_sample(net, rng) for _ in range(8)][2:]
         sat_depths = []
         for x0 in points:
-            query = VerificationQuery.for_point(net, x0, 0.02, time_budget=60.0)
+            query = VerificationQuery(net, x0, 0.02, time_budget=60.0)
             first, second = (verify_local_robustness(net, query) for _ in range(2))
             assert first.kind is not VerdictKind.UNKNOWN
             assert second.kind is first.kind
@@ -348,7 +383,7 @@ class TestVerify:
     def test_stats_populated(self):
         net = flip_net()
         verdict = verify_local_robustness(
-            net, VerificationQuery.for_point(net, [0.4], 0.2)
+            net, VerificationQuery(net, [0.4], 0.2)
         )
         assert verdict.boxes_explored >= 1
         assert verdict.wall_time >= 0.0
@@ -361,7 +396,7 @@ class TestVerify:
             for _ in range(10):
                 x0 = rng.uniform(0, 1, size=2)
                 delta = float(rng.uniform(0.02, 0.15))
-                query = VerificationQuery.for_point(net, x0, delta, time_budget=10.0)
+                query = VerificationQuery(net, x0, delta, time_budget=10.0)
                 verdict = verify_local_robustness(net, query)
                 oracle = grid_oracle(net, query, spacing=delta / 15.0)
                 if oracle.outcome is GridOutcome.SAT and verdict.kind is VerdictKind.UNSAT:
@@ -383,21 +418,21 @@ class TestGridOracle:
             lower=[0.25],
             upper=[0.25],
         )
-        query = VerificationQuery.for_point(net, [0.25], 0.5)
+        query = VerificationQuery(net, [0.25], 0.5)
         assert margin(net, [0.25]) > 0
         result = grid_oracle(net, query, spacing=0.01)
         assert result.outcome is GridOutcome.UNSAT
 
     def test_flip_net_sat(self):
         net = flip_net()
-        query = VerificationQuery.for_point(net, [0.4], 0.2)
+        query = VerificationQuery(net, [0.4], 0.2)
         result = grid_oracle(net, query, spacing=0.01)
         assert result.outcome is GridOutcome.SAT
         assert check_witness(net, query, result.witness)
 
     def test_high_margin_unsat(self):
         net = flip_net()
-        query = VerificationQuery.for_point(net, [0.1], 0.05)
+        query = VerificationQuery(net, [0.1], 0.05)
         result = grid_oracle(net, query, spacing=0.001)
         assert result.outcome is GridOutcome.UNSAT
 
@@ -405,13 +440,13 @@ class TestGridOracle:
         # No grid point flips, but the worst margin (0.1 at x=0.45) is
         # clearly below the certificate (realized spacing 0.2).
         net = flip_net()
-        query = VerificationQuery.for_point(net, [0.35], 0.1)
+        query = VerificationQuery(net, [0.35], 0.1)
         result = grid_oracle(net, query, spacing=0.2)
         assert result.outcome is GridOutcome.INCONCLUSIVE
 
     def test_dimension_guard(self):
         net = zero_net(sizes=(4, 2, 2))
-        query = VerificationQuery.for_point(net, [0.5] * 4, 0.1)
+        query = VerificationQuery(net, [0.5] * 4, 0.1)
         with pytest.raises(ValueError, match="dimensions"):
             grid_oracle(net, query, spacing=0.05)
 
@@ -425,19 +460,19 @@ class TestGridOracle:
     )
     def test_grid_size_is_capped(self, sizes, spacing):
         net = zero_net(sizes=sizes)
-        query = VerificationQuery.for_point(net, [0.5] * sizes[0], 0.25)
+        query = VerificationQuery(net, [0.5] * sizes[0], 0.25)
         with pytest.raises(ValueError, match="grid points"):
             grid_oracle(net, query, spacing=spacing)
 
     def test_cap_admits_the_cli_default_grid(self):
         # The CLI default spacing delta / 50 gives 101**3 points.
         net = zero_net(sizes=(3, 2, 2))
-        query = VerificationQuery.for_point(net, [0.5] * 3, 0.25)
+        query = VerificationQuery(net, [0.5] * 3, 0.25)
         assert grid_oracle(net, query, spacing=0.25 / 50).outcome is GridOutcome.INCONCLUSIVE
 
     def test_spacing_must_be_positive(self):
         net = flip_net()
-        query = VerificationQuery.for_point(net, [0.4], 0.1)
+        query = VerificationQuery(net, [0.4], 0.1)
         with pytest.raises(ValueError, match="spacing"):
             grid_oracle(net, query, spacing=0.0)
 
@@ -445,31 +480,31 @@ class TestGridOracle:
 class TestCheckWitness:
     def test_accepts_a_flip_inside_the_ball(self):
         net = flip_net()
-        query = VerificationQuery.for_point(net, [0.4], 0.2)
+        query = VerificationQuery(net, [0.4], 0.2)
         assert check_witness(net, query, [0.55])
         assert classify(net, [0.55]) == 0
 
     def test_rejects_non_flip(self):
         net = flip_net()
-        query = VerificationQuery.for_point(net, [0.4], 0.2)
+        query = VerificationQuery(net, [0.4], 0.2)
         assert not check_witness(net, query, [0.45])  # still label 1
 
     def test_rejects_distant_point(self):
         net = flip_net()
-        query = VerificationQuery.for_point(net, [0.2], 0.1)
+        query = VerificationQuery(net, [0.2], 0.1)
         assert classify(net, [0.8]) != query.label0
         assert not check_witness(net, query, [0.8])  # flips, but outside the ball
 
     def test_rejects_wrong_shape(self):
         net = flip_net()
-        query = VerificationQuery.for_point(net, [0.4], 0.2)
+        query = VerificationQuery(net, [0.4], 0.2)
         for point in ([0.55, 0.55], [[0.55]], 0.55):
             assert not check_witness(net, query, point)
 
     def test_rejects_a_flip_one_coordinate_beyond_delta(self):
         # Outputs (x + 1, 1 - x) on [-1, 1]^2: the label flips at x = 0.
         net = net_from_lists([[[1.0, 0.0]], [[1.0], [-1.0]]], [[1.0], [0.0, 2.0]], [-1.0, -1.0], [1.0, 1.0])
-        query = VerificationQuery.for_point(net, [0.1, 0.0], 0.2)
+        query = VerificationQuery(net, [0.1, 0.0], 0.2)
         assert classify(net, [-0.05, 0.0]) != query.label0
         assert check_witness(net, query, [-0.05, 0.2])
         assert not check_witness(net, query, [-0.05, np.nextafter(0.2, 1.0)])
@@ -477,6 +512,6 @@ class TestCheckWitness:
     def test_rejects_a_flip_outside_the_input_box(self):
         # Outputs (relu(x), 0.5 - relu(x)) on [0, 1]: every x < 0.25 has label 1.
         net = net_from_lists([[[1.0]], [[1.0], [-1.0]]], [[0.0], [0.0, 0.5]], [0.0], [1.0])
-        query = VerificationQuery.for_point(net, [0.3], 0.4)
+        query = VerificationQuery(net, [0.3], 0.4)
         assert classify(net, [-0.05]) != query.label0
         assert not check_witness(net, query, [-0.05])  # within delta, below the box
