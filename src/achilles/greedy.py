@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import Network, forward_batch, top_gap
+from .nn import forward_batch, top_gap
 from .verifier import VerificationQuery
 
 __all__ = ["SearchOutcome", "gen_neighbors", "greedy_search"]
@@ -64,8 +64,9 @@ def gen_neighbors(x, step: float, lo, hi) -> list[np.ndarray]:
     return out
 
 
-def greedy_search(net: Network, query: VerificationQuery, *, record_trace: bool = False) -> SearchOutcome:
-    """Descend the margin around the query's x0 looking for a label flip.
+def greedy_search(query: VerificationQuery, *, record_trace: bool = False) -> SearchOutcome:
+    """Descend the margin around the query's x0, on the query's net,
+    looking for a label flip.
 
     The first step is ``delta / 2``; a round without improvement halves
     it, and the search gives up once it falls below ``delta / 1024`` or
@@ -84,7 +85,7 @@ def greedy_search(net: Network, query: VerificationQuery, *, record_trace: bool 
         candidates = gen_neighbors(x, step, lo, hi)
         moved = False
         if candidates:
-            batch = forward_batch(net, np.stack(candidates))
+            batch = forward_batch(query.net, np.stack(candidates))
             gaps = top_gap(batch)
             # The first flip in scan order wins; otherwise the first
             # smallest margin, if strictly below the current one.

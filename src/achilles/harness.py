@@ -187,12 +187,12 @@ def run_query(
         record.seed = _point(seed)
         query = VerificationQuery(net, seed, delta, time_budget=per_query_timeout)
         record.seed_margin = query.margin0
-        found = greedy_search(net, query) if mode.greedy else None
+        found = greedy_search(query) if mode.greedy else None
         if found is not None and found.found:
             record.outcome, record.greedy_found = "sat", True
             record.witness = _point(found.counter_example)
         else:
-            verdict = verify_local_robustness(net, query)
+            verdict = verify_local_robustness(query)
             record.outcome, record.reason = verdict.kind.value, verdict.reason
             if verdict.witness is not None:
                 record.witness = _point(verdict.witness)
@@ -245,7 +245,14 @@ def _net_fingerprint(net: Network) -> str:
 
 def audit_report(net: Network, report: CampaignReport) -> None:
     """Re-validate every stored SAT witness; raises ``ReportFormatError``
-    on the first failure, a seed that makes no query included."""
+    on the first failure, a seed that makes no query included.  A report
+    that names its net's fingerprint is refused on any other net first."""
+    if report.net_sha256:
+        found = _net_fingerprint(net)
+        if found != report.net_sha256:
+            raise ReportFormatError(
+                f"report was written for net {report.net_sha256[:12]}, not {found[:12]}"
+            )
     for record in report.records:
         if record.outcome != "sat":
             continue
@@ -255,7 +262,7 @@ def audit_report(net: Network, report: CampaignReport) -> None:
             query = VerificationQuery(net, record.seed, report.spec.delta)
         except ValueError as exc:
             raise ReportFormatError(f"run {record.index}: {exc}") from None
-        if not check_witness(net, query, np.array(record.witness)):
+        if not check_witness(query, np.array(record.witness)):
             raise ReportFormatError(f"run {record.index}: witness failed re-validation")
 
 

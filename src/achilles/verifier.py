@@ -13,7 +13,7 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -71,12 +71,13 @@ class VerificationQuery:
     """One local-robustness question: does any point within ``delta`` of
     ``x0`` (inside the input box) classify differently from ``label0``?
 
-    Built from its network, which it does not keep: one pass at x0 gives
-    ``label0`` and ``margin0``, and ``[lo, hi]`` is the ball clipped to the
-    input box.  ``x0``, ``lo`` and ``hi`` are read-only copies.
+    Built from its network, which it keeps, so every stage answers it on
+    that net: one pass at x0 gives ``label0`` and ``margin0``, and
+    ``[lo, hi]`` is the ball clipped to the input box.  ``x0``, ``lo`` and
+    ``hi`` are read-only copies.
     """
 
-    net: InitVar[Network]
+    net: Network
     x0: np.ndarray
     delta: float
     time_budget: float = 60.0
@@ -85,7 +86,8 @@ class VerificationQuery:
     lo: np.ndarray = field(init=False)
     hi: np.ndarray = field(init=False)
 
-    def __post_init__(self, net: Network):
+    def __post_init__(self):
+        net = self.net
         x0, delta = _frozen_array(_as_input(net, self.x0)), self.delta
         # NaN compares false against every bound, so a NaN centre gives
         # a NaN box that the interval check would certify UNSAT.
@@ -194,22 +196,23 @@ def _certification_gap(lo, hi, label0):
     return lo[..., label0] - others_hi.max(axis=-1, initial=-math.inf)
 
 
-def check_witness(net: Network, query: VerificationQuery, point) -> bool:
+def check_witness(query: VerificationQuery, point) -> bool:
     """True when ``point`` is a genuine counter-example for the query."""
     point = np.asarray(point, dtype=np.float64)
     if point.shape != query.x0.shape:
         return False
     if np.abs(point - query.x0).max() > query.delta:
         return False
-    if not net.contains(point):
+    if not query.net.contains(point):
         return False
-    return classify(net, point) != query.label0
+    return classify(query.net, point) != query.label0
 
 
-def _probe(net, lo, hi, label0):
+def _probe(query, lo, hi):
     # The centre, then per rival label j the corner that a gradient-sign step
     # from the centre takes to lower out[label0] - out[j].  Each point goes
     # through _layer_values, the pass classify runs, so check_witness agrees.
+    net, label0 = query.net, query.label0
     layers = net._layers
     centre = 0.5 * (lo + hi)
     outputs = []
@@ -224,7 +227,7 @@ def _probe(net, lo, hi, label0):
     return None
 
 
-def verify_local_robustness(net: Network, query: VerificationQuery) -> Verdict:
+def verify_local_robustness(query: VerificationQuery) -> Verdict:
     """Decide a local-robustness query by input-domain branch and bound.
 
     Boxes whose interval bounds prove the label fixed are certified and
@@ -243,7 +246,7 @@ def verify_local_robustness(net: Network, query: VerificationQuery) -> Verdict:
     start = time.perf_counter()
     deadline = start + query.time_budget
     min_width = query.delta * _PRECISION_FLOOR
-    layers = net._interval_layers
+    layers = query.net._interval_layers
 
     def finish(kind, witness=None, reason=None):
         return Verdict(
@@ -277,8 +280,8 @@ def verify_local_robustness(net: Network, query: VerificationQuery) -> Verdict:
         _, _, depth, box_lo, box_hi = heapq.heappop(heap)
         max_depth = max(max_depth, depth)
 
-        candidate = _probe(net, box_lo, box_hi, query.label0)
-        if candidate is not None and check_witness(net, query, candidate):
+        candidate = _probe(query, box_lo, box_hi)
+        if candidate is not None and check_witness(query, candidate):
             return finish(VerdictKind.SAT, witness=candidate)
 
         widths = box_hi - box_lo
@@ -325,8 +328,11 @@ def grid_oracle(net: Network, query: VerificationQuery, spacing: float) -> GridR
     spacing (at most ``spacing``) and ``L`` the certified Lipschitz
     bound -- the entire region is provably robust and the result is
     UNSAT.  Otherwise INCONCLUSIVE.  Guarded to at most 3 input
-    dimensions and 2**22 grid points.
+    dimensions and 2**22 grid points.  ``net`` must equal the query's
+    own network.
     """
+    if net != query.net:
+        raise ValueError("query was built from another network")
     spacing = float(spacing)
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError("grid spacing must be positive and finite")

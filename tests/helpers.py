@@ -167,7 +167,7 @@ def _row_margin(values):
     return float(part[-1] - part[-2])
 
 
-def reference_greedy_search(net, query, record_trace=False):
+def reference_greedy_search(query, record_trace=False):
     """Per-candidate loop version of ``greedy_search``.
 
     Scores the candidates of each round one row at a time: the first
@@ -177,7 +177,7 @@ def reference_greedy_search(net, query, record_trace=False):
     round without a move; the search gives up below delta / 1024 or after
     10,000 rounds.
     """
-    x, delta, label0, lo, hi = query.x0, query.delta, query.label0, query.lo, query.hi
+    net, x, delta, label0, lo, hi = query.net, query.x0, query.delta, query.label0, query.lo, query.hi
     current = _row_margin(forward_batch(net, x[np.newaxis, :])[0])
     step = delta / 2.0
     iterations = 0

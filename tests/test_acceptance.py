@@ -41,6 +41,7 @@ from achilles import (
     run_attack_campaign,
     run_campaign,
     save_network,
+    select_lowest_margin,
     verify_local_robustness,
 )
 from achilles.attacks import AttackConfig
@@ -167,7 +168,7 @@ class TestCriterion2:
                 x0 = rng.uniform(0, 1, size=net.input_size)
                 delta = float(np.exp(rng.uniform(np.log(0.02), np.log(0.3))))
                 query = VerificationQuery(net, x0, delta, time_budget=10.0)
-                verdict = verify_local_robustness(net, query)
+                verdict = verify_local_robustness(query)
                 oracle = grid_oracle(net, query, spacing=delta / 10.0)
                 sat_vs_unsat = (
                     oracle.outcome is GridOutcome.SAT and verdict.kind is VerdictKind.UNSAT
@@ -177,7 +178,7 @@ class TestCriterion2:
                 )
                 if sat_vs_unsat or unsat_vs_sat:
                     conflicts.append((i, tuple(x0), delta))
-                if verdict.kind is VerdictKind.SAT and not check_witness(net, query, verdict.witness):
+                if verdict.kind is VerdictKind.SAT and not check_witness(query, verdict.witness):
                     bad_witnesses += 1
         elapsed = time.perf_counter() - started
         passed = not conflicts and bad_witnesses == 0 and elapsed < 300.0
@@ -199,7 +200,7 @@ class TestCriterion3:
                 x0 = rng.uniform(0, 1, size=2)
                 delta = float(rng.uniform(0.02, 0.2))
                 query = VerificationQuery(net, x0, delta)
-                outcome = greedy_search(net, query, record_trace=True)
+                outcome = greedy_search(query, record_trace=True)
                 searches += 1
                 if outcome.found:
                     found += 1
@@ -376,3 +377,29 @@ class TestCriterion9:
         assert net_round_trip
         assert net_equal
         assert report_round_trip
+
+
+class TestCriterion10:
+    """The paper's experiment: verify a fixed corpus in margin order.
+
+    Counts are taken by query index, so no clock enters the comparison.
+    """
+
+    def test_margin_order_finds_more_counter_examples_first(self, tuned_suites):
+        wins = 0
+        details = []
+        for suite in tuned_suites[:6]:
+            net = suite["net"]
+            corpus = random_sample(net, np.random.default_rng(suite["seed"]), 500)
+            counts = []
+            for points in (select_lowest_margin(net, corpus, 10), corpus[:10]):
+                verdicts = [
+                    verify_local_robustness(VerificationQuery(net, x, suite["delta"], time_budget=2.0))
+                    for x in points
+                ]
+                counts.append(sum(v.kind is VerdictKind.SAT for v in verdicts))
+            wins += counts[0] > counts[1]
+            details.append((suite["seed"], *counts))
+        passed = wins == 6
+        _report(10, f"margin order beats corpus order, (seed, margin SATs, corpus SATs) {details}", passed)
+        assert passed, details

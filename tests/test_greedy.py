@@ -60,7 +60,7 @@ class TestGreedySearch:
         # Margin is constant, so no neighbor ever improves: the step
         # halves from delta / 2 down to delta / 1024, 10 rounds, never moving.
         net = constant_margin_net(gap=1.0, n_inputs=2)
-        out = greedy_search(net, VerificationQuery(net, [0.5, 0.5], 0.1), record_trace=True)
+        out = greedy_search(VerificationQuery(net, [0.5, 0.5], 0.1), record_trace=True)
         assert not out.found
         assert out.iterations == 10
         steps = [row[0] for row in out.trace]
@@ -73,13 +73,13 @@ class TestGreedySearch:
         # inside the ball is impossible; the search may still descend.
         base = random_network([2, 6, 2], 10)
         net = dominate_class(base, target_margin=1.0)
-        out = greedy_search(net, VerificationQuery(net, [0.5, 0.5], 0.1), record_trace=True)
+        out = greedy_search(VerificationQuery(net, [0.5, 0.5], 0.1), record_trace=True)
         assert not out.found
         assert_valid_trace(out.trace)
 
     def test_flip_net_finds_counter_example(self):
         net = flip_net()
-        out = greedy_search(net, VerificationQuery(net, [0.4], 0.2))
+        out = greedy_search(VerificationQuery(net, [0.4], 0.2))
         assert out.found
         ce = out.counter_example
         assert ce[0] >= 0.5  # the label flips exactly at 0.5
@@ -92,7 +92,7 @@ class TestGreedySearch:
         moves = 0
         for _ in range(40):
             x0 = rng.uniform(0, 1, size=2)
-            out = greedy_search(net, VerificationQuery(net, x0, 0.05), record_trace=True)
+            out = greedy_search(VerificationQuery(net, x0, 0.05), record_trace=True)
             moves += assert_valid_trace(out.trace)
         assert moves > 0
 
@@ -107,29 +107,29 @@ class TestGreedySearch:
                 delta = float(rng.uniform(0.02, 0.2))
                 queries += 1
                 query = VerificationQuery(net, x0, delta, time_budget=10.0)
-                out = greedy_search(net, query)
+                out = greedy_search(query)
                 if out.found:
                     hits += 1
                     assert classify(net, out.counter_example) != classify(net, x0)
                     assert np.abs(out.counter_example - x0).max() <= delta
                     assert net.contains(out.counter_example)
                 else:
-                    verdict = verify_local_robustness(net, query)
+                    verdict = verify_local_robustness(query)
                     assert verdict.kind in (
                         VerdictKind.SAT,
                         VerdictKind.UNSAT,
                         VerdictKind.UNKNOWN,
                     )
                     if verdict.kind is VerdictKind.SAT:
-                        assert check_witness(net, query, verdict.witness)
+                        assert check_witness(query, verdict.witness)
         assert queries == 100
         assert hits > 0
 
     def test_pure_function(self):
         net = random_network([3, 6, 3], 17)
         query = VerificationQuery(net, [0.2, 0.8, 0.5], 0.1)
-        a = greedy_search(net, query, record_trace=True)
-        b = greedy_search(net, query, record_trace=True)
+        a = greedy_search(query, record_trace=True)
+        b = greedy_search(query, record_trace=True)
         assert a.iterations == b.iterations
         assert a.trace == b.trace
         if a.found:
@@ -138,7 +138,7 @@ class TestGreedySearch:
     def test_zero_net_never_finds(self):
         # Ties break toward label 0 everywhere: no flip exists.
         net = zero_net()
-        out = greedy_search(net, VerificationQuery(net, [0.5, 0.5], 0.25))
+        out = greedy_search(VerificationQuery(net, [0.5, 0.5], 0.25))
         assert not out.found
 
     @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf"), 0.0, -0.1])
@@ -146,11 +146,11 @@ class TestGreedySearch:
         # The query refuses it before any stage can see it.
         net = flip_net()
         with pytest.raises(ValueError, match="delta"):
-            greedy_search(net, VerificationQuery(net, [0.4], delta))
+            greedy_search(VerificationQuery(net, [0.4], delta))
 
     def test_final_margin_reported(self):
         net = flip_net()
-        out = greedy_search(net, VerificationQuery(net, [0.4], 0.2))
+        out = greedy_search(VerificationQuery(net, [0.4], 0.2))
         assert out.final_margin == margin(net, out.counter_example)
 
 
@@ -171,8 +171,8 @@ class TestAgainstReference:
         net = random_network([inputs, hidden, outputs], net_seed, weight_scale=scale)
         x0 = np.random.default_rng(point_seed).uniform(0, 1, size=inputs)
         query = VerificationQuery(net, x0, delta)
-        got = greedy_search(net, query, record_trace=True)
-        want = reference_greedy_search(net, query, record_trace=True)
+        got = greedy_search(query, record_trace=True)
+        want = reference_greedy_search(query, record_trace=True)
         assert got.found == want.found
         if want.found:
             assert np.array_equal(got.counter_example, want.counter_example)

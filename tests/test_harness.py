@@ -201,7 +201,7 @@ class TestRunQuery:
     def test_error_after_the_seed_keeps_the_seed(self, monkeypatch):
         # The greedy stage finds nothing on a constant-margin net, so the
         # query reaches the verifier, which fails here.
-        def failing(net, query):
+        def failing(query):
             raise RuntimeError("verifier failed")
 
         monkeypatch.setattr(harness, "verify_local_robustness", failing)
@@ -306,6 +306,22 @@ class TestRunCampaign:
         report.records[report.records.index(sat)] = tampered
         with pytest.raises(ReportFormatError, match="witness"):
             audit_report(load_network(flip_net_path), report)
+
+    def test_audit_refuses_a_net_the_report_was_not_written_for(self, flip_net_path):
+        # The wider box changes the net's fingerprint but no witness's label,
+        # so only the fingerprint can tell the two nets apart.
+        spec = CampaignSpec(
+            net_path=flip_net_path, mode=Mode.BG, delta=0.2,
+            target_counterexamples=2, seeding=fast_seeding(), rng_seed=5,
+        )
+        report = run_campaign(spec)
+        net = load_network(flip_net_path)
+        wider = dataclasses.replace(net, input_upper=np.array([2.0]))
+        expected = f"written for net {report.net_sha256[:12]}, not {harness._net_fingerprint(wider)[:12]}"
+        with pytest.raises(ReportFormatError, match=expected):
+            audit_report(wider, report)
+        # A report without a fingerprint is audited witness by witness.
+        audit_report(wider, dataclasses.replace(report, net_sha256=""))
 
     # A delta that makes no query cannot reach audit_report: no CampaignSpec
     # holds one (see test_malformed_summary_rejected[delta-negative]).

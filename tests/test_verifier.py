@@ -12,6 +12,7 @@ from achilles import (
     check_witness,
     classify,
     forward_batch,
+    greedy_search,
     grid_oracle,
     interval_bounds,
     lipschitz_bound,
@@ -175,6 +176,51 @@ class TestVerificationQuery:
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
+def _signed_nets():
+    """Two 1-input nets on [0, 1]: ``a`` outputs (-x, x), ``b`` (x, -x).
+    Each is robust around x = 0.2, with opposite labels."""
+    def net(sign):
+        return net_from_lists([[[1.0]], [[-sign], [sign]]], [[0.0], [0.0, 0.0]], [0.0], [1.0])
+    return net(1.0), net(-1.0)
+
+
+class TestQueryOwnsItsNet:
+    def test_query_keeps_its_net(self):
+        a, b = _signed_nets()
+        query_a, query_b = VerificationQuery(a, [0.2], 0.1), VerificationQuery(b, [0.2], 0.1)
+        assert query_a.net is a and query_b.net is b
+        assert (query_a.label0, query_b.label0) == (1, 0)
+
+    def test_each_stage_answers_on_the_query_net(self):
+        # Answered one after the other, each query is robust on its own
+        # net; on the other net its seed is a counter-example.
+        a, b = _signed_nets()
+        for query in (VerificationQuery(a, [0.2], 0.1), VerificationQuery(b, [0.2], 0.1)):
+            assert verify_local_robustness(query).kind is VerdictKind.UNSAT
+            assert not greedy_search(query).found
+            assert not check_witness(query, [0.2])
+
+    @pytest.mark.parametrize(
+        "stage, extra",
+        [(verify_local_robustness, ()), (greedy_search, ()), (check_witness, ([0.2],))],
+        ids=["verify_local_robustness", "greedy_search", "check_witness"],
+    )
+    def test_the_old_net_first_form_is_refused(self, stage, extra):
+        a, _ = _signed_nets()
+        with pytest.raises(TypeError):
+            stage(a, VerificationQuery(a, [0.2], 0.1), *extra)
+
+    def test_grid_oracle_refuses_another_net(self):
+        a, b = _signed_nets()
+        query = VerificationQuery(a, [0.2], 0.1)
+        with pytest.raises(ValueError, match="query was built from another network"):
+            grid_oracle(b, query, spacing=0.01)
+        # An equal net loaded again is the query's net.
+        reloaded = nn.parse_network(nn.format_network(a))
+        assert reloaded is not a
+        assert grid_oracle(reloaded, query, spacing=0.01).outcome is GridOutcome.UNSAT
+
+
 class TestQueryRegion:
     def test_clipped_to_box(self):
         # Dyadic coordinates so the expected bounds are float-exact.
@@ -230,7 +276,7 @@ class TestCertificationGap:
     def test_single_output_net_is_unsat(self):
         net = net_from_lists([[[1.0]], [[1.0]]], [[0.0], [0.0]], [0.0], [1.0])
         query = VerificationQuery(net, [0.5], 0.25)
-        assert verify_local_robustness(net, query).kind is VerdictKind.UNSAT
+        assert verify_local_robustness(query).kind is VerdictKind.UNSAT
         assert grid_oracle(net, query, spacing=0.01).outcome is GridOutcome.UNSAT
 
 
@@ -239,19 +285,17 @@ class TestVerify:
         net = flip_net()
         # margin(0.1) = 0.8 > 2 * L * delta = 0.1: certification inevitable.
         assert margin(net, [0.1]) > 2 * lipschitz_bound(net) * 0.05
-        verdict = verify_local_robustness(
-            net, VerificationQuery(net, [0.1], 0.05)
-        )
+        verdict = verify_local_robustness(VerificationQuery(net, [0.1], 0.05))
         assert verdict.kind is VerdictKind.UNSAT
         assert verdict.boxes_explored <= 3
 
     def test_flip_net_sat_with_witness_past_boundary(self):
         net = flip_net()
         query = VerificationQuery(net, [0.4], 0.2)
-        verdict = verify_local_robustness(net, query)
+        verdict = verify_local_robustness(query)
         assert verdict.kind is VerdictKind.SAT
         assert verdict.witness[0] >= 0.5
-        assert check_witness(net, query, verdict.witness)
+        assert check_witness(query, verdict.witness)
 
     def test_unsat_survives_random_falsification(self):
         net = random_network([2, 6, 6, 2], 321)
@@ -261,7 +305,7 @@ class TestVerify:
         for _ in range(50):
             x0 = rng.uniform(0, 1, size=2)
             candidate = VerificationQuery(net, x0, 0.02, time_budget=10.0)
-            result = verify_local_robustness(net, candidate)
+            result = verify_local_robustness(candidate)
             if result.kind is VerdictKind.UNSAT:
                 query, verdict = candidate, result
                 break
@@ -274,7 +318,7 @@ class TestVerify:
         # misclassifies; a tiny budget must stop the search.
         net = zero_net()
         query = VerificationQuery(net, [0.5, 0.5], 0.25, time_budget=0.05)
-        verdict = verify_local_robustness(net, query)
+        verdict = verify_local_robustness(query)
         assert verdict.kind is VerdictKind.UNKNOWN
         assert verdict.reason == "budget"
 
@@ -289,7 +333,7 @@ class TestVerify:
             upper=[1.0],
         )
         query = VerificationQuery(net, [0.5], 0.25, time_budget=30.0)
-        verdict = verify_local_robustness(net, query)
+        verdict = verify_local_robustness(query)
         assert verdict.kind is VerdictKind.UNKNOWN
         assert verdict.reason == "precision"
         # The region is 0.5 wide; the floor is delta * 1e-4 = 2.5e-5, which
@@ -312,10 +356,10 @@ class TestVerify:
         )
         with np.errstate(over="ignore", invalid="ignore"):
             query = VerificationQuery(net, [0.94], 0.05)
-            assert check_witness(net, query, [0.96])
-            verdict = verify_local_robustness(net, query)
+            assert check_witness(query, [0.96])
+            verdict = verify_local_robustness(query)
         assert verdict.kind is VerdictKind.SAT
-        assert check_witness(net, query, verdict.witness)
+        assert check_witness(query, verdict.witness)
 
     def test_nan_time_budget_rejected(self):
         # NaN compares False against every bound, so the budget check
@@ -353,11 +397,11 @@ class TestVerify:
         )
         query = VerificationQuery(net, np.full(10, 0.5), 0.5)
         assert query.label0 == 0
-        verdict = verify_local_robustness(net, query)
+        verdict = verify_local_robustness(query)
         assert verdict.kind is VerdictKind.SAT
         assert verdict.boxes_explored == 1
         np.testing.assert_array_equal(verdict.witness, signs > 0)
-        assert check_witness(net, query, verdict.witness)
+        assert check_witness(query, verdict.witness)
 
     def test_gradient_corner_probe_is_reproducible(self):
         # The probe draws no random numbers, so a query repeats its kind,
@@ -369,12 +413,12 @@ class TestVerify:
         sat_depths = []
         for x0 in points:
             query = VerificationQuery(net, x0, 0.02, time_budget=60.0)
-            first, second = (verify_local_robustness(net, query) for _ in range(2))
+            first, second = (verify_local_robustness(query) for _ in range(2))
             assert first.kind is not VerdictKind.UNKNOWN
             assert second.kind is first.kind
             assert second.boxes_explored == first.boxes_explored
             if first.kind is VerdictKind.SAT:
-                assert check_witness(net, query, first.witness)
+                assert check_witness(query, first.witness)
                 assert second.witness.tobytes() == first.witness.tobytes()
                 sat_depths.append(first.max_depth)
         # At least one witness lies below the root, after many probed boxes.
@@ -382,9 +426,7 @@ class TestVerify:
 
     def test_stats_populated(self):
         net = flip_net()
-        verdict = verify_local_robustness(
-            net, VerificationQuery(net, [0.4], 0.2)
-        )
+        verdict = verify_local_robustness(VerificationQuery(net, [0.4], 0.2))
         assert verdict.boxes_explored >= 1
         assert verdict.wall_time >= 0.0
 
@@ -397,14 +439,14 @@ class TestVerify:
                 x0 = rng.uniform(0, 1, size=2)
                 delta = float(rng.uniform(0.02, 0.15))
                 query = VerificationQuery(net, x0, delta, time_budget=10.0)
-                verdict = verify_local_robustness(net, query)
+                verdict = verify_local_robustness(query)
                 oracle = grid_oracle(net, query, spacing=delta / 15.0)
                 if oracle.outcome is GridOutcome.SAT and verdict.kind is VerdictKind.UNSAT:
                     conflicts.append((seed, x0, delta))
                 if oracle.outcome is GridOutcome.UNSAT and verdict.kind is VerdictKind.SAT:
                     conflicts.append((seed, x0, delta))
                 if verdict.kind is VerdictKind.SAT:
-                    assert check_witness(net, query, verdict.witness)
+                    assert check_witness(query, verdict.witness)
         assert conflicts == []
 
 
@@ -428,7 +470,7 @@ class TestGridOracle:
         query = VerificationQuery(net, [0.4], 0.2)
         result = grid_oracle(net, query, spacing=0.01)
         assert result.outcome is GridOutcome.SAT
-        assert check_witness(net, query, result.witness)
+        assert check_witness(query, result.witness)
 
     def test_high_margin_unsat(self):
         net = flip_net()
@@ -481,37 +523,37 @@ class TestCheckWitness:
     def test_accepts_a_flip_inside_the_ball(self):
         net = flip_net()
         query = VerificationQuery(net, [0.4], 0.2)
-        assert check_witness(net, query, [0.55])
+        assert check_witness(query, [0.55])
         assert classify(net, [0.55]) == 0
 
     def test_rejects_non_flip(self):
         net = flip_net()
         query = VerificationQuery(net, [0.4], 0.2)
-        assert not check_witness(net, query, [0.45])  # still label 1
+        assert not check_witness(query, [0.45])  # still label 1
 
     def test_rejects_distant_point(self):
         net = flip_net()
         query = VerificationQuery(net, [0.2], 0.1)
         assert classify(net, [0.8]) != query.label0
-        assert not check_witness(net, query, [0.8])  # flips, but outside the ball
+        assert not check_witness(query, [0.8])  # flips, but outside the ball
 
     def test_rejects_wrong_shape(self):
         net = flip_net()
         query = VerificationQuery(net, [0.4], 0.2)
         for point in ([0.55, 0.55], [[0.55]], 0.55):
-            assert not check_witness(net, query, point)
+            assert not check_witness(query, point)
 
     def test_rejects_a_flip_one_coordinate_beyond_delta(self):
         # Outputs (x + 1, 1 - x) on [-1, 1]^2: the label flips at x = 0.
         net = net_from_lists([[[1.0, 0.0]], [[1.0], [-1.0]]], [[1.0], [0.0, 2.0]], [-1.0, -1.0], [1.0, 1.0])
         query = VerificationQuery(net, [0.1, 0.0], 0.2)
         assert classify(net, [-0.05, 0.0]) != query.label0
-        assert check_witness(net, query, [-0.05, 0.2])
-        assert not check_witness(net, query, [-0.05, np.nextafter(0.2, 1.0)])
+        assert check_witness(query, [-0.05, 0.2])
+        assert not check_witness(query, [-0.05, np.nextafter(0.2, 1.0)])
 
     def test_rejects_a_flip_outside_the_input_box(self):
         # Outputs (relu(x), 0.5 - relu(x)) on [0, 1]: every x < 0.25 has label 1.
         net = net_from_lists([[[1.0]], [[1.0], [-1.0]]], [[0.0], [0.0, 0.5]], [0.0], [1.0])
         query = VerificationQuery(net, [0.3], 0.4)
         assert classify(net, [-0.05]) != query.label0
-        assert not check_witness(net, query, [-0.05])  # within delta, below the box
+        assert not check_witness(query, [-0.05])  # within delta, below the box
